@@ -10,19 +10,20 @@ extrinsic rotation and time offset by correlation analysis.
 from .calibrate import (
     CalibrationOptions,
     CalibrationResult,
+    CovarianceSet,
     OffsetEstimate,
     OffsetSearch,
     calibrate,
     covariance_set,
     estimate_rotation,
     estimate_time_offset,
-    shift_series,
     trace_correlation,
 )
 from .errors import (
     CalibrationError,
     IllConditionedError,
     RankDeficiencyError,
+    TrajectoryRejectedError,
     UnsupportedGeometryError,
 )
 from .harness import (
@@ -33,7 +34,6 @@ from .harness import (
     SummaryRow,
     calibration_geometry,
     default_experiment_config,
-    go2_preset_truths,
     rotation_error,
     run_matrix,
 )
@@ -49,7 +49,6 @@ from .kinematics import (
 )
 from .optimizer import (
     BasisSpec,
-    CovarianceSet,
     LossReport,
     OptimizeResult,
     OptimizerConfig,

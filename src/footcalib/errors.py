@@ -27,3 +27,7 @@ class RankDeficiencyError(IllConditionedError):
     def __init__(self, message: str, axis: str):
         super().__init__(message)
         self.axis = axis
+
+
+class TrajectoryRejectedError(CalibrationError):
+    """An optimized trajectory leaves the joint limits or the accepted condition-number band."""

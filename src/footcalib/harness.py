@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .calibrate import CalibrationOptions, calibrate
-from .errors import CalibrationError
+from .calibrate import CalibrationOptions, calibrate, is_proper_rotation
+from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 from .optimizer import OptimizerConfig, derive_schedule, eval_basis, initial_basis_spec, optimize
 from .simulate import GaitKind, GaitParams, GroundTruth, NoiseModel, baseline_gait, random_ground_truth, simulate_imu
@@ -40,10 +40,16 @@ class Motion(Enum):
 _MOTION_CODE = {Motion.A2I: 1, Motion.WALK: 2, Motion.SPIN: 3, Motion.WAVE: 4}
 _GAIT_FOR_MOTION = {Motion.WALK: GaitKind.WALK, Motion.SPIN: GaitKind.SPIN,
                     Motion.WAVE: GaitKind.WAVE}
+# Largest condition number an a2i trajectory may have to be run at all.
+A2I_KAPPA_BAND = 1.6
 
 
 def _foot_code(foot: str) -> int:
-    return FOOT_IDS.index(foot) if foot in FOOT_IDS else 100 + sum(map(ord, foot))
+    # The 0x01 lead byte keeps names with leading zero bytes apart, so the
+    # code is injective on names; custom codes start above 100.
+    if foot in FOOT_IDS:
+        return FOOT_IDS.index(foot)
+    return 100 + int.from_bytes(b"\x01" + foot.encode("utf-8"), "big")
 
 
 def _density_code(density: float) -> int:
@@ -108,22 +114,6 @@ def default_truths(base_seed: int = 0, offset_range: float = 0.1,
     return truths
 
 
-# Spatial calibration presets measured on a real quadruped (per-foot
-# intrinsic x-y-z Euler triples, degrees); useful for qualitative
-# comparison runs against arbitrary random mountings.
-GO2_PRESET_EULER_DEG = {
-    "FL": (104.0, 17.0, 21.0),
-    "FR": (136.0, -11.0, 55.0),
-    "RL": (56.0, -32.0, -129.0),
-    "RR": (92.0, -21.0, 115.0),
-}
-
-
-def go2_preset_truths(time_offset: float = 0.0) -> dict[str, GroundTruth]:
-    return {foot: GroundTruth.from_euler_deg(*euler, time_offset=time_offset)
-            for foot, euler in GO2_PRESET_EULER_DEG.items()}
-
-
 def default_experiment_config(output_dir, base_seed: int = 0,
                               noise_densities=(0.006, 0.03, 0.06),
                               motions=(Motion.A2I, Motion.WALK, Motion.SPIN, Motion.WAVE),
@@ -162,8 +152,7 @@ def _wrap_deg(d: np.ndarray) -> np.ndarray:
 
 def rotation_error(rotation_estimate, truth_euler_deg) -> RotationError:
     est = np.asarray(rotation_estimate, dtype=float)
-    if est.shape != (3, 3) or np.abs(est.T @ est - np.eye(3)).max() > 1e-9 \
-            or abs(np.linalg.det(est) - 1.0) > 1e-9:
+    if est.shape != (3, 3) or not is_proper_rotation(est):
         raise ValueError("rotation_estimate must be a proper rotation matrix")
     truth = np.asarray(truth_euler_deg, dtype=float)
     if truth.shape != (3,):
@@ -227,13 +216,20 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
 
     The a2i motion is optimized once per (foot, seed) and executed for two
     full periods so the calibration window can cover one exact period away
-    from the data edges. Baseline gaits run for their default duration at
-    the experiment sample rate.
+    from the data edges. An optimizer result outside the joint limits or
+    above the ``A2I_KAPPA_BAND`` condition number raises
+    TrajectoryRejectedError instead. Baseline gaits run for their default
+    duration at the experiment sample rate.
     """
     opt = config.optimizer
     if motion is Motion.A2I:
         init_seed = _child_seed(opt.seed, 1, _foot_code(foot), _MOTION_CODE[motion], seed)
         result = optimize(initial_basis_spec(opt, seed=init_seed), opt, config.geometry)
+        if not result.feasible or result.kappa_final > A2I_KAPPA_BAND:
+            raise TrajectoryRejectedError(
+                f"a2i trajectory for {foot} seed {seed} is out of band: "
+                f"kappa {result.kappa_final:.4g} (band {A2I_KAPPA_BAND}), "
+                f"feasible={result.feasible}, converged={result.converged}")
         n = int(round(2 * result.spec.period * opt.imu_frequency))
         grid = np.arange(n + 1) / opt.imu_frequency
         return eval_basis(result.spec, grid)
@@ -306,7 +302,7 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     go to a separate timing.csv so the reports stay byte-reproducible.
     Rows are ordered by foot, motion, density, seed and written as they
     are computed. A failed cell records its error and does not abort the
-    matrix.
+    matrix; a rejected a2i trajectory fails every cell of its (foot, seed).
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -328,10 +324,17 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                         started = time.perf_counter()
                         cache_key = (motion, foot, seed) if motion is Motion.A2I else motion
                         if cache_key not in trajectory_cache:
-                            trajectory_cache[cache_key] = build_trajectory(config, motion, foot, seed)
+                            try:
+                                trajectory_cache[cache_key] = build_trajectory(
+                                    config, motion, foot, seed)
+                            except TrajectoryRejectedError as exc:
+                                trajectory_cache[cache_key] = exc
                         try:
+                            trajectory = trajectory_cache[cache_key]
+                            if isinstance(trajectory, TrajectoryRejectedError):
+                                raise trajectory
                             metrics, scan = run_cell(config, foot, motion, density, seed,
-                                                     trajectory_cache[cache_key])
+                                                     trajectory)
                             error = ""
                         except CalibrationError as exc:
                             metrics = dict(cn=math.nan, cc=math.nan, re_deg=math.nan,
@@ -372,18 +375,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         },
         "noise_densities": list(config.noise_densities),
         "motions": [m.value for m in config.motions],
-        "optimizer": {
-            "kappa_objective": config.optimizer.kappa_objective,
-            "max_iterations": config.optimizer.max_iterations,
-            "step_size": config.optimizer.step_size,
-            "fd_epsilon": config.optimizer.fd_epsilon,
-            "penalty_hip": config.optimizer.penalty_hip,
-            "penalty_thigh": config.optimizer.penalty_thigh,
-            "penalty_calf": config.optimizer.penalty_calf,
-            "imu_frequency": config.optimizer.imu_frequency,
-            "offset_range": config.optimizer.offset_range,
-            "seed": config.optimizer.seed,
-        },
+        "optimizer": asdict(config.optimizer),
         "seeds": list(config.seeds),
         "output_dir": str(config.output_dir),
     }

@@ -185,6 +185,11 @@ class AngularVelocitySeries:
         return float(self.time_grid[-1] - self.time_grid[0])
 
 
+def resample(time_grid: np.ndarray, samples: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The three sample columns linearly interpolated at the query times; edges held."""
+    return np.column_stack([np.interp(query, time_grid, samples[:, k]) for k in range(3)])
+
+
 def foot_angular_velocity(geometry: LegGeometry, theta_thigh_plus_calf: float,
                           dtheta_hip: float, dtheta_thigh_plus_calf: float) -> np.ndarray:
     """Foot-end angular velocity for a single joint state.

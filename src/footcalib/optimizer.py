@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IllConditionedError
 from .kinematics import (
     AngularVelocitySeries,
     Frame,
@@ -203,11 +202,33 @@ def auto_covariance(series: AngularVelocitySeries) -> np.ndarray:
     """Sample auto-covariance (mean-centred, 1/(N-1)) of a foot-frame series."""
     if series.frame is not Frame.FOOT_KINEMATIC:
         raise ValueError(f"auto_covariance expects a FootKinematic series, got {series.frame}")
-    n = len(series)
-    if n < 2:
+    if len(series) < 2:
         raise ValueError("need at least 2 samples for a covariance")
-    centred = series.samples - series.samples.mean(axis=0)
-    return centred.T @ centred / (n - 1)
+    return sample_covariance(series.samples)
+
+
+def sample_covariance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Mean-centred, 1/(N-1) covariance of the columns of ``a`` with those of ``b``.
+
+    ``b`` defaults to ``a``; the auto-covariance then multiplies one centred
+    array by its own transpose, which BLAS evaluates as an exactly
+    symmetric product.
+    """
+    a_centred = a - a.mean(axis=0)
+    b_centred = a_centred if b is None else b - b.mean(axis=0)
+    return a_centred.T @ b_centred / (len(a) - 1)
+
+
+def diagonality_ratio(spec: BasisSpec, imu_frequency: float, geometry: LegGeometry) -> float:
+    """Largest off-diagonal over largest diagonal entry of the one-period foot covariance.
+
+    The odd-harmonic basis family is built so that this ratio vanishes to
+    machine precision.
+    """
+    traj = eval_basis(spec, one_period_grid(spec, imu_frequency))
+    sigma = auto_covariance(trajectory_to_foot_velocity(geometry, traj))
+    off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
+    return off / sigma.diagonal().max()
 
 
 def condition_number(matrix) -> float:
@@ -355,44 +376,3 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
         converged=converged,
         feasible=best.in_bounds,
     )
-
-
-@dataclass(frozen=True)
-class CovarianceSet:
-    """Auto- and cross-covariances of an IMU/foot angular-velocity pair."""
-
-    sigma_ii: np.ndarray
-    sigma_ff: np.ndarray
-    sigma_if: np.ndarray
-    sigma_fi: np.ndarray
-    mean_i: np.ndarray
-    mean_f: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sigma_ii", "sigma_ff", "sigma_if", "sigma_fi"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} must be a finite 3x3 matrix")
-            object.__setattr__(self, name, m)
-        for name in ("mean_i", "mean_f"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, v)
-        for name in ("sigma_ii", "sigma_ff"):
-            m = getattr(self, name)
-            scale = max(np.abs(m).max(), 1e-300)
-            if np.abs(m - m.T).max() > 1e-9 * scale:
-                raise ValueError(f"{name} must be symmetric to 1e-9 relative")
-        if not np.array_equal(self.sigma_fi, self.sigma_if.T):
-            raise ValueError("sigma_fi must be exactly the transpose of sigma_if")
-
-    def checked_invertible(self, floor: float = 1e-12) -> None:
-        """Raise if either auto-covariance is singular at the relative floor."""
-        for name in ("sigma_ii", "sigma_ff"):
-            s = np.linalg.svd(getattr(self, name), compute_uv=False)
-            if s[0] == 0.0 or s[-1] < floor * s[0]:
-                raise IllConditionedError(
-                    f"{name} is singular at the {floor:g} relative floor; "
-                    "the motion is insufficiently excited"
-                )

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .kinematics import AngularVelocitySeries, Frame, JointTrajectory
+from .kinematics import AngularVelocitySeries, Frame, JointTrajectory, resample
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def simulate_imu(foot_series: AngularVelocitySeries, truth: GroundTruth,
             f"series grid spacing {dt} does not match noise model sample rate {noise.sample_rate}"
         )
     t = foot_series.time_grid
-    query = t - truth.time_offset
-    shifted = np.column_stack([np.interp(query, t, foot_series.samples[:, k]) for k in range(3)])
+    shifted = resample(t, foot_series.samples, t - truth.time_offset)
     # omega_I = R^T omega_F for each row
     measured = shifted @ truth.rotation
     if noise.density > 0:

@@ -22,11 +22,12 @@ from footcalib import (
     eval_basis,
     random_ground_truth,
     rotation_error,
-    shift_series,
     simulate_imu,
     trace_correlation,
     trajectory_to_foot_velocity,
 )
+from footcalib.calibrate import _paired_window
+from footcalib.kinematics import resample
 from conftest import brute_force_pair_covariance
 
 RATE = 500.0
@@ -51,16 +52,19 @@ def options(**kwargs):
     return CalibrationOptions(**defaults)
 
 
+def shift(series, t_d):
+    """Samples of ``series`` at t + t_d on its own grid, the way the offset scan shifts."""
+    return resample(series.time_grid, series.samples, series.time_grid + t_d)
+
+
 class TestShiftSeries:
     def test_zero_shift_is_identity(self, foot_series):
-        shifted = shift_series(foot_series, 0.0)
-        np.testing.assert_allclose(shifted.samples, foot_series.samples, atol=1e-15)
-        assert shifted.frame is foot_series.frame
+        np.testing.assert_allclose(shift(foot_series, 0.0), foot_series.samples, atol=1e-15)
 
     def test_one_interval_shift_advances_by_one_index(self, foot_series):
         dt = foot_series.uniform_dt()
-        shifted = shift_series(foot_series, dt)
-        np.testing.assert_allclose(shifted.samples[:-1], foot_series.samples[1:], atol=1e-12)
+        shifted = shift(foot_series, dt)
+        np.testing.assert_allclose(shifted[:-1], foot_series.samples[1:], atol=1e-12)
 
     @pytest.mark.parametrize("t_d", [0.01, 0.0037])
     def test_sinusoid_matches_analytic_phase(self, t_d):
@@ -70,16 +74,12 @@ class TestShiftSeries:
         w = 2 * math.pi * 2.0
         samples = np.column_stack([np.sin(w * t), np.cos(w * t), 0.5 * np.sin(w * t + 1.0)])
         series = AngularVelocitySeries(t, samples, Frame.FOOT_KINEMATIC)
-        shifted = shift_series(series, t_d)
+        shifted = shift(series, t_d)
         interior = t + t_d <= t[-1]
         bound = (w / RATE) ** 2 / 8 + 1e-12
         expected = np.column_stack([
             np.sin(w * (t + t_d)), np.cos(w * (t + t_d)), 0.5 * np.sin(w * (t + t_d) + 1.0)])
-        assert np.max(np.abs(shifted.samples[interior] - expected[interior])) <= bound
-
-    def test_shift_beyond_span_rejected(self, foot_series):
-        with pytest.raises(ValueError):
-            shift_series(foot_series, foot_series.span + 1.0)
+        assert np.max(np.abs(shifted[interior] - expected[interior])) <= bound
 
 
 def series_pair(imu_samples, foot_samples):
@@ -187,7 +187,7 @@ class TestEstimateTimeOffset:
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=0.020)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
         estimate = estimate_time_offset(imu, foot_series,
-                                        OffsetSearch(offset_range=0.1, step=0.001, refine=False))
+                                        OffsetSearch(offset_range=0.1, step=0.001))
         assert abs(estimate.time_offset - 0.020) <= 0.001
 
     def test_scan_maximum_matches_estimate(self, foot_series):
@@ -198,6 +198,43 @@ class TestEstimateTimeOffset:
         scan = estimate.scan
         best = scan[np.nanargmax(scan[:, 1]), 0]
         assert best == estimate.time_offset
+
+    @pytest.mark.parametrize("silent_x_samples", [0, 1001])
+    def test_scan_matches_covariance_set_path(self, foot_series, silent_x_samples):
+        # every scan value is trace_correlation(covariance_set(...)) of the IMU
+        # window shifted by that candidate, bit for bit, and the estimate
+        # carries the covariance set at the winning offset. With the IMU x
+        # axis silent over its first 1001 samples, the candidates whose
+        # shifted window lies inside that stretch have a singular
+        # auto-covariance and score NaN.
+        truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=17))
+        samples = imu.samples.copy()
+        samples[:silent_x_samples, 0] = 0.0
+        imu = AngularVelocitySeries(imu.time_grid, samples, Frame.FOOT_IMU)
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1, 1 / RATE),
+                                        window_samples=100)
+
+        i0, i1 = _paired_window(imu, foot_series, 0.1, 100)
+        t = foot_series.time_grid[i0:i1]
+        foot = AngularVelocitySeries(t, foot_series.samples[i0:i1], Frame.FOOT_KINEMATIC)
+
+        def shifted_pair(tau):
+            return covariance_set(AngularVelocitySeries(
+                t, resample(imu.time_grid, imu.samples, t + tau), Frame.FOOT_IMU), foot)
+
+        expected = []
+        for tau in estimate.scan[:, 0]:
+            try:
+                expected.append(trace_correlation(shifted_pair(tau)))
+            except IllConditionedError:
+                expected.append(np.nan)
+        np.testing.assert_array_equal(estimate.scan[:, 1], expected)
+        assert np.isnan(expected).any() == (silent_x_samples > 0)
+        winner = shifted_pair(estimate.time_offset)
+        for name in ("sigma_ii", "sigma_ff", "sigma_if", "sigma_fi"):
+            np.testing.assert_array_equal(getattr(estimate.covariance, name),
+                                          getattr(winner, name))
 
     def test_range_beyond_quarter_span_rejected(self, foot_series):
         with pytest.raises(ValueError):
@@ -222,27 +259,17 @@ class TestEstimateRotation:
         rotation = estimate_rotation(covariance_set(imu, foot_series))
         assert rotation_error(rotation, truth.euler_deg).degrees <= 1e-6
 
-    def test_matrix_inverse_convention_is_transpose(self, foot_series):
-        truth = GroundTruth.from_euler_deg(-20.0, 35.0, 80.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=7))
-        cov = covariance_set(imu, foot_series)
-        best_fit = estimate_rotation(cov, convention="best_fit")
-        inverse = estimate_rotation(cov, convention="matrix_inverse")
-        np.testing.assert_array_equal(inverse, best_fit.T)
-
     def test_best_fit_minimizes_prediction_residual(self, foot_series):
-        # the returned convention is the one mapping IMU samples onto foot
-        # samples with the smaller squared residual
+        # the returned rotation maps IMU samples onto foot samples with a
+        # smaller squared residual than its transpose
         truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.005, RATE, seed=21))
-        cov = covariance_set(imu, foot_series)
-        best_fit = estimate_rotation(cov, convention="best_fit")
-        inverse = estimate_rotation(cov, convention="matrix_inverse")
+        best_fit = estimate_rotation(covariance_set(imu, foot_series))
 
         def residual(rotation):
             return float(np.sum((imu.samples @ rotation.T - foot_series.samples) ** 2))
 
-        assert residual(best_fit) < residual(inverse)
+        assert residual(best_fit) < residual(best_fit.T)
 
     def test_rank_deficiency_names_axis(self):
         t = np.arange(200) / RATE

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from footcalib import Motion, default_experiment_config, rotation_error, run_matrix
+from footcalib import (
+    Motion,
+    OptimizerConfig,
+    default_experiment_config,
+    harness,
+    rotation_error,
+    run_matrix,
+)
 from footcalib.harness import (
-    GO2_PRESET_EULER_DEG,
+    A2I_KAPPA_BAND,
     calibration_geometry,
     config_from_dict,
     config_to_dict,
     default_truths,
-    go2_preset_truths,
     load_config,
     save_config,
 )
@@ -71,11 +77,6 @@ class TestConfig:
         assert len(set(eulers)) == 4
         for truth in truths.values():
             assert abs(truth.time_offset) <= 0.1
-
-    def test_go2_preset_matches_table(self):
-        truths = go2_preset_truths()
-        for foot, euler in GO2_PRESET_EULER_DEG.items():
-            np.testing.assert_allclose(truths[foot].euler_deg, euler, atol=1e-9)
 
     def test_calibration_geometry_contains_zero_posture(self):
         geometry = calibration_geometry()
@@ -212,6 +213,43 @@ class TestRunMatrix:
             assert not row.error
             assert row.re_deg <= 1e-4
             assert row.td_error_ms == 0.0
+
+    def test_custom_feet_get_distinct_seeds(self, tmp_path):
+        # "AB" and "BA" have the same character sum; with one truth for both,
+        # only the seeds derived from the foot name can tell their rows apart
+        truth = default_truths()["FL"]
+        config = replace(small_config(tmp_path / "feet"), truths={"AB": truth, "BA": truth})
+        rows = run_matrix(config).rows
+        assert not any(r.error for r in rows)
+        ab = [(r.motion, r.cn, r.cc, r.re_deg) for r in rows if r.foot == "AB"]
+        ba = [(r.motion, r.cn, r.cc, r.re_deg) for r in rows if r.foot == "BA"]
+        assert len(ab) == len(ba) == 2
+        for first, second in zip(ab, ba):
+            assert first != second
+
+    def test_out_of_band_a2i_trajectory_becomes_error_rows(self, tmp_path, monkeypatch):
+        # optimizer seed 3, foot FR, matrix seed 1: the optimizer stops
+        # unconverged at kappa ~2.36, above the band the matrix accepts
+        results = []
+        optimize = harness.optimize
+
+        def recording_optimize(*args):
+            results.append(optimize(*args))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "optimize", recording_optimize)
+        config = default_experiment_config(tmp_path / "band", noise_densities=(0.006, 0.03),
+                                           motions=(Motion.A2I,), seeds=(1,),
+                                           optimizer=OptimizerConfig(seed=3))
+        config = replace(config, truths={"FR": config.truths["FR"]})
+        rows = run_matrix(config).rows
+        assert len(results) == 1
+        assert results[0].feasible and results[0].kappa_final > A2I_KAPPA_BAND
+        assert len(rows) == 2
+        for row in rows:
+            assert row.error.startswith("TrajectoryRejectedError")
+            assert math.isnan(row.cn)
+        assert not list((config.output_dir / "scans").glob("*.csv"))
 
     def test_summary_json_is_valid(self, small_run):
         config, _ = small_run

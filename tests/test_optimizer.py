@@ -6,7 +6,6 @@ import pytest
 from footcalib import (
     AngularVelocitySeries,
     BasisSpec,
-    CovarianceSet,
     Frame,
     IllConditionedError,
     LegGeometry,
@@ -22,6 +21,7 @@ from footcalib import (
     trajectory_loss,
     trajectory_to_foot_velocity,
 )
+from footcalib.calibrate import require_invertible
 from conftest import brute_force_pair_covariance
 
 
@@ -303,17 +303,9 @@ class TestSingleHarmonicFamily:
 
 
 class TestCovarianceSetType:
-    def test_transpose_pairing_enforced(self):
-        eye = np.eye(3)
-        off = np.arange(9.0).reshape(3, 3)
-        with pytest.raises(ValueError):
-            CovarianceSet(sigma_ii=eye, sigma_ff=eye, sigma_if=off, sigma_fi=off,
-                          mean_i=np.zeros(3), mean_f=np.zeros(3))
-
     def test_invertibility_guard(self):
-        eye = np.eye(3)
-        singular = np.diag([1.0, 1.0, 0.0])
-        cov = CovarianceSet(sigma_ii=eye, sigma_ff=singular, sigma_if=eye, sigma_fi=eye,
-                            mean_i=np.zeros(3), mean_f=np.zeros(3))
-        with pytest.raises(IllConditionedError):
-            cov.checked_invertible()
+        require_invertible(np.eye(3), "sigma_ii")
+        require_invertible(np.diag([1.0, 1.0, 1e-11]), "sigma_ii")
+        for singular in (np.diag([1.0, 1.0, 1e-13]), np.zeros((3, 3))):
+            with pytest.raises(IllConditionedError):
+                require_invertible(singular, "sigma_ff")
