@@ -43,7 +43,6 @@ from .kinematics import (
     JointLimitStatus,
     JointTrajectory,
     LegGeometry,
-    foot_angular_velocity,
     joint_limit_report,
     trajectory_to_foot_velocity,
 )

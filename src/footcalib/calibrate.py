@@ -1,9 +1,11 @@
 """Spatial-temporal calibration of a foot IMU against leg kinematics.
 
-The time offset is found by scanning candidate shifts of the IMU stream
-and maximizing the trace correlation between the shifted stream and the
-kinematic foot-end series; the extrinsic rotation then comes from an
-SVD-projected product of the covariance matrices at the winning shift.
+The time offset is found by sliding the IMU stream over the kinematic
+foot-end series one sample at a time, scoring each integer lag by the
+trace correlation, and refining the best lag to a fraction of a sample
+with a parabola through its two neighbours. The extrinsic rotation then
+comes from an SVD-projected product of the covariance matrices at the
+refined offset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .kinematics import AngularVelocitySeries, Frame, resample
 from .optimizer import condition_number, sample_covariance
 
 _AXES = ("x", "y", "z")
-_REFINE_FACTOR = 10  # the fine pass scans at step / _REFINE_FACTOR around the coarse argmax
 
 
 def is_proper_rotation(matrix: np.ndarray) -> bool:
@@ -98,14 +99,11 @@ def trace_correlation(cov: CovarianceSet) -> float:
 
 @dataclass(frozen=True)
 class OffsetSearch:
-    """Candidate grid for the time-offset scan."""
+    """Range of the time-offset scan; the candidates are the integer sample lags inside it."""
 
     offset_range: float        # scan covers ±offset_range seconds
-    step: float                # coarse candidate spacing, seconds
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if self.offset_range < 0:
             raise ValueError("offset_range must be >= 0")
 
@@ -113,8 +111,8 @@ class OffsetSearch:
 @dataclass(frozen=True)
 class OffsetEstimate:
     time_offset: float
-    scan: np.ndarray  # rows of (candidate offset, trace correlation); NaN r marks failures
-    covariance: CovarianceSet  # of the pair on the scan window, IMU shifted by time_offset
+    scan: np.ndarray  # rows of (integer-lag offset, trace correlation); NaN r marks failures
+    covariance: CovarianceSet  # of the pair on the scan window, IMU resampled at time_offset
 
 
 def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
@@ -136,78 +134,79 @@ def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
     return i0, i1
 
 
-def _scan_correlations(imu: AngularVelocitySeries, t_window: np.ndarray, foot_window: np.ndarray,
-                       sigma_ff: np.ndarray, candidates: np.ndarray):
-    """Trace correlation of every candidate shift, and its (sigma_ii, sigma_if) pair.
+def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, foot_window: np.ndarray,
+                      sigma_ff: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with ``foot_window`` per lag k.
 
-    ``sigma_ff`` belongs to ``foot_window`` and must be invertible. A
-    candidate whose shifted IMU window has a singular auto-covariance
-    scores NaN.
+    ``sigma_ff`` belongs to ``foot_window`` and must be invertible. A lag
+    whose IMU slice has a singular auto-covariance scores NaN.
     """
-    rs = np.empty(len(candidates))
-    blocks = []
-    for idx, tau in enumerate(candidates):
-        shifted = resample(imu.time_grid, imu.samples, t_window + tau)
-        sigma_ii = sample_covariance(shifted)
-        sigma_if = sample_covariance(shifted, foot_window)
-        blocks.append((sigma_ii, sigma_if))
+    rs = np.empty(len(lags))
+    for idx, k in enumerate(lags):
+        window = imu_samples[i0 + k:i1 + k]
+        sigma_ii = sample_covariance(window)
         try:
             require_invertible(sigma_ii, "sigma_ii")
-            rs[idx] = _trace_correlation(sigma_ii, sigma_ff, sigma_if)
         except IllConditionedError:
             rs[idx] = np.nan
-    return rs, blocks
-
-
-def _argmax_smallest_offset(candidates: np.ndarray, rs: np.ndarray) -> int:
-    best = -1
-    for idx in range(len(candidates)):
-        if np.isnan(rs[idx]):
             continue
-        if best < 0 or rs[idx] > rs[best] or (
-                rs[idx] == rs[best] and abs(candidates[idx]) < abs(candidates[best])):
-            best = idx
-    if best < 0:
-        raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
-    return best
+        rs[idx] = _trace_correlation(sigma_ii, sigma_ff, sample_covariance(window, foot_window))
+    return rs
+
+
+def _parabolic_peak(rs: np.ndarray, best: int) -> float:
+    """Vertex of the parabola through ``rs[best]`` and its two neighbours, in lags from ``best``.
+
+    Zero when ``best`` is at a scan edge, a neighbour is NaN or the three
+    points are not strictly concave. Otherwise ``rs[best]`` is the largest
+    of the three, so the vertex lies within half a lag.
+    """
+    if best == 0 or best == len(rs) - 1:
+        return 0.0
+    r_minus, r_zero, r_plus = rs[best - 1:best + 2]
+    curvature = r_minus - 2.0 * r_zero + r_plus
+    if not curvature < 0.0:  # also false for a NaN neighbour
+        return 0.0
+    return float((r_minus - r_plus) / (2.0 * curvature))
 
 
 def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
                          search: OffsetSearch,
                          window_samples: int | None = None) -> OffsetEstimate:
-    """Offset maximizing the trace correlation over a candidate grid.
+    """Offset maximizing the trace correlation, to a fraction of a sample.
 
-    All candidates are scored on one fixed window so the scan is unbiased.
-    A second pass at step/10 runs around the coarse argmax (clipped to the
-    scan range); the estimate is the best candidate of both passes, ties
-    going to the smallest |offset|.
+    Every integer lag k within ``search.offset_range`` is scored on one
+    fixed foot window against the IMU samples k places later, so no
+    candidate interpolates the noisy IMU stream. The best lag (ties going
+    to the smallest |k|) is refined by the vertex of the parabola through
+    it and its two neighbours; at a scan edge it is kept as it is. The
+    scan holds the integer-lag rows only, and the covariance set comes
+    from the IMU window resampled once, at the refined offset.
     """
     if search.offset_range > foot.span / 4:
         raise ValueError(
             f"offset range {search.offset_range} exceeds a quarter of the series span {foot.span}"
         )
     i0, i1 = _paired_window(imu, foot, search.offset_range, window_samples)
-    t_window = foot.time_grid[i0:i1]
+    dt = foot.uniform_dt()
     foot_window = foot.samples[i0:i1]
     sigma_ff = sample_covariance(foot_window)
     require_invertible(sigma_ff, "sigma_ff")
 
-    n_steps = int(math.floor(search.offset_range / search.step + 1e-9))
-    coarse = np.arange(-n_steps, n_steps + 1) * search.step
-    rs, blocks = _scan_correlations(imu, t_window, foot_window, sigma_ff, coarse)
-    fine = coarse[_argmax_smallest_offset(coarse, rs)] + np.arange(
-        -(_REFINE_FACTOR - 1), _REFINE_FACTOR) * (search.step / _REFINE_FACTOR)
-    fine = fine[np.abs(fine) <= search.offset_range + 1e-12]
-    fine_rs, fine_blocks = _scan_correlations(imu, t_window, foot_window, sigma_ff, fine)
+    n = int(math.floor(search.offset_range / dt + 1e-9))
+    lags = np.arange(-n, n + 1)
+    rs = _lag_correlations(imu.samples, i0, i1, foot_window, sigma_ff, lags)
+    if np.isnan(rs).all():
+        raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
+    ties = np.flatnonzero(rs == np.nanmax(rs))
+    best = int(ties[np.argmin(np.abs(lags[ties]))])
+    time_offset = float((lags[best] + _parabolic_peak(rs, best)) * dt)
 
-    offsets = np.concatenate([coarse, fine])
-    values = np.concatenate([rs, fine_rs])
-    best = _argmax_smallest_offset(offsets, values)
-    sigma_ii, sigma_if = (blocks + fine_blocks)[best]
-    order = np.argsort(offsets, kind="stable")
-    return OffsetEstimate(time_offset=float(offsets[best]),
-                          scan=np.column_stack([offsets[order], values[order]]),
-                          covariance=CovarianceSet(sigma_ii, sigma_ff, sigma_if))
+    shifted = resample(imu.time_grid, imu.samples, foot.time_grid[i0:i1] + time_offset)
+    return OffsetEstimate(time_offset=time_offset,
+                          scan=np.column_stack([lags * dt, rs]),
+                          covariance=CovarianceSet(sample_covariance(shifted), sigma_ff,
+                                                   sample_covariance(shifted, foot_window)))
 
 
 def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
@@ -242,7 +241,7 @@ def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
 class CalibrationOptions:
     """Settings for the combined offset + rotation calibration.
 
-    The offset scan steps at the grid spacing of the foot series.
+    The offset scan steps one sample of the foot series at a time.
     """
 
     offset_range: float = 0.25
@@ -280,15 +279,14 @@ def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
     """Full spatial-temporal calibration of an IMU/foot series pair.
 
     Runs the offset scan and estimates the extrinsic rotation from the
-    covariance set the scan found at the winning offset, on the same
-    analysis window.
+    covariance set at the refined offset, on the same analysis window.
     """
     options = options or CalibrationOptions()
     if imu.frame is not Frame.FOOT_IMU or foot.frame is not Frame.FOOT_KINEMATIC:
         raise ValueError(
             f"expected (FootIMU, FootKinematic) series, got ({imu.frame}, {foot.frame})"
         )
-    search = OffsetSearch(offset_range=options.offset_range, step=foot.uniform_dt())
+    search = OffsetSearch(offset_range=options.offset_range)
     estimate = estimate_time_offset(imu, foot, search, window_samples=options.window_samples)
     cov = estimate.covariance
     return CalibrationResult(

@@ -18,7 +18,7 @@ from scipy.spatial.transform import Rotation
 
 from .calibrate import CalibrationOptions, calibrate, is_proper_rotation
 from .errors import CalibrationError, TrajectoryRejectedError
-from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocity
+from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 from .optimizer import OptimizerConfig, derive_schedule, eval_basis, initial_basis_spec, optimize
 from .simulate import GaitKind, GaitParams, GroundTruth, NoiseModel, baseline_gait, random_ground_truth, simulate_imu
 from . import io as fio
@@ -247,13 +247,13 @@ def _cell_options(config: ExperimentConfig, motion: Motion) -> CalibrationOption
 
 
 def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float,
-             seed: int, trajectory: JointTrajectory):
+             seed: int, foot_series: AngularVelocitySeries):
     """One matrix cell: simulate, calibrate, compute metrics.
 
-    Returns (ReportRow fields without wall time, offset scan or None).
+    ``foot_series`` is the foot-end angular velocity of the cell's
+    trajectory. Returns (ReportRow fields without wall time, offset scan).
     """
     truth = config.truths[foot]
-    foot_series = trajectory_to_foot_velocity(config.geometry, trajectory)
     noise_seed = _child_seed(config.optimizer.seed, 2, _foot_code(foot),
                              _MOTION_CODE[motion], _density_code(density), seed)
     noise = NoiseModel(density=density, sample_rate=config.optimizer.imu_frequency,
@@ -302,7 +302,9 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     go to a separate timing.csv so the reports stay byte-reproducible.
     Rows are ordered by foot, motion, density, seed and written as they
     are computed. A failed cell records its error and does not abort the
-    matrix; a rejected a2i trajectory fails every cell of its (foot, seed).
+    matrix. Each trajectory is built and mapped to its foot series once;
+    one that fails there (such as a rejected a2i trajectory) fails every
+    cell that runs it.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -313,7 +315,8 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     densities = sorted(config.noise_densities)
     seeds = sorted(config.seeds)
 
-    trajectory_cache: dict = {}
+    # foot series per trajectory, or the error that rejected the trajectory
+    foot_series_cache: dict = {}
     rows: list[ReportRow] = []
     with fio.open_rows_writer(out / "rows.csv") as write_row, \
             fio.open_timing_writer(out / "timing.csv") as write_timing:
@@ -323,18 +326,19 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                     for seed in seeds:
                         started = time.perf_counter()
                         cache_key = (motion, foot, seed) if motion is Motion.A2I else motion
-                        if cache_key not in trajectory_cache:
+                        if cache_key not in foot_series_cache:
                             try:
-                                trajectory_cache[cache_key] = build_trajectory(
-                                    config, motion, foot, seed)
-                            except TrajectoryRejectedError as exc:
-                                trajectory_cache[cache_key] = exc
+                                foot_series_cache[cache_key] = trajectory_to_foot_velocity(
+                                    config.geometry,
+                                    build_trajectory(config, motion, foot, seed))
+                            except CalibrationError as exc:
+                                foot_series_cache[cache_key] = exc
                         try:
-                            trajectory = trajectory_cache[cache_key]
-                            if isinstance(trajectory, TrajectoryRejectedError):
-                                raise trajectory
+                            foot_series = foot_series_cache[cache_key]
+                            if isinstance(foot_series, CalibrationError):
+                                raise foot_series
                             metrics, scan = run_cell(config, foot, motion, density, seed,
-                                                     trajectory)
+                                                     foot_series)
                             error = ""
                         except CalibrationError as exc:
                             metrics = dict(cn=math.nan, cc=math.nan, re_deg=math.nan,

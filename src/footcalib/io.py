@@ -113,10 +113,6 @@ def write_calibration_report(path, result: CalibrationResult) -> None:
     })
 
 
-def read_calibration_report(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 ROWS_HEADER = "foot,motion,noise_density,seed,cn,cc,re_deg,td_error_ms,gimbal_flagged,geodesic_deg,error"
 TIMING_HEADER = "foot,motion,noise_density,seed,wall_time_s"
 SUMMARY_HEADER = "motion,noise_density,rows,median_cn,median_cc,median_re_deg,median_abs_td_error_ms"

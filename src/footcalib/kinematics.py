@@ -190,30 +190,6 @@ def resample(time_grid: np.ndarray, samples: np.ndarray, query: np.ndarray) -> n
     return np.column_stack([np.interp(query, time_grid, samples[:, k]) for k in range(3)])
 
 
-def foot_angular_velocity(geometry: LegGeometry, theta_thigh_plus_calf: float,
-                          dtheta_hip: float, dtheta_thigh_plus_calf: float) -> np.ndarray:
-    """Foot-end angular velocity for a single joint state.
-
-    Args:
-        geometry: leg geometry; must carry the standard twists.
-        theta_thigh_plus_calf: combined thigh+calf angle [rad].
-        dtheta_hip: hip joint rate [rad/s].
-        dtheta_thigh_plus_calf: combined thigh+calf rate [rad/s].
-
-    Returns:
-        Foot-frame angular velocity (wx, wy, wz) in rad/s.
-    """
-    geometry.require_standard_twists()
-    values = (theta_thigh_plus_calf, dtheta_hip, dtheta_thigh_plus_calf)
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"inputs must be finite, got {values}")
-    return np.array([
-        -dtheta_hip * math.sin(theta_thigh_plus_calf),
-        -dtheta_hip * math.cos(theta_thigh_plus_calf),
-        dtheta_thigh_plus_calf,
-    ])
-
-
 def trajectory_to_foot_velocity(geometry: LegGeometry, traj: JointTrajectory) -> AngularVelocitySeries:
     """Map a joint trajectory to the foot-end angular-velocity series."""
     geometry.require_standard_twists()

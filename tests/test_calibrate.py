@@ -179,71 +179,84 @@ class TestEstimateTimeOffset:
     def test_zero_offset_noiseless(self, foot_series):
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=0.0)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
-        estimate = estimate_time_offset(imu, foot_series,
-                                        OffsetSearch(offset_range=0.25, step=1 / RATE))
-        assert estimate.time_offset == 0.0
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.25))
+        assert abs(estimate.time_offset) <= 1e-9 / RATE
 
     def test_twenty_ms_offset_within_one_step(self, foot_series):
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=0.020)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
-        estimate = estimate_time_offset(imu, foot_series,
-                                        OffsetSearch(offset_range=0.1, step=0.001))
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.1))
         assert abs(estimate.time_offset - 0.020) <= 0.001
 
     def test_scan_maximum_matches_estimate(self, foot_series):
         truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=3))
-        estimate = estimate_time_offset(imu, foot_series,
-                                        OffsetSearch(offset_range=0.25, step=1 / RATE))
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.25))
         scan = estimate.scan
         best = scan[np.nanargmax(scan[:, 1]), 0]
-        assert best == estimate.time_offset
+        assert abs(estimate.time_offset - best) <= 0.5 / RATE
+
+    @pytest.mark.parametrize("t_d", [0.0073, -0.0151, 0.0417])
+    def test_off_grid_offset_refined_within_a_fiftieth_of_a_sample(self, foot_series, t_d):
+        # the truths sit 0.35 to 0.55 samples off the lag grid; the parabola
+        # through the best lag and its neighbours must land on them
+        truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=t_d)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=4))
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.1))
+        assert abs(estimate.time_offset - t_d) <= 0.02 / RATE
+
+    @pytest.mark.parametrize("t_d", [-0.02, 0.02])
+    def test_truth_at_scan_edge_gives_edge_lag(self, foot_series, t_d):
+        # the peak lag has no outer neighbour, so no parabola is fitted
+        truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=t_d)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=4))
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.02))
+        edge = estimate.scan[0 if t_d < 0 else -1]
+        assert edge[1] == np.nanmax(estimate.scan[:, 1])
+        assert estimate.time_offset == edge[0]
 
     @pytest.mark.parametrize("silent_x_samples", [0, 1001])
     def test_scan_matches_covariance_set_path(self, foot_series, silent_x_samples):
-        # every scan value is trace_correlation(covariance_set(...)) of the IMU
-        # window shifted by that candidate, bit for bit, and the estimate
-        # carries the covariance set at the winning offset. With the IMU x
-        # axis silent over its first 1001 samples, the candidates whose
-        # shifted window lies inside that stretch have a singular
-        # auto-covariance and score NaN.
+        # every scan value is trace_correlation(covariance_set(...)) of the
+        # IMU window slid by that integer lag, bit for bit, and the estimate
+        # carries the covariance set of the IMU window resampled at the
+        # estimated offset. With the IMU x axis silent over its first 1001
+        # samples, the lags whose IMU window lies inside that stretch have a
+        # singular auto-covariance and score NaN.
         truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=17))
         samples = imu.samples.copy()
         samples[:silent_x_samples, 0] = 0.0
         imu = AngularVelocitySeries(imu.time_grid, samples, Frame.FOOT_IMU)
-        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1, 1 / RATE),
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1),
                                         window_samples=100)
 
         i0, i1 = _paired_window(imu, foot_series, 0.1, 100)
         t = foot_series.time_grid[i0:i1]
         foot = AngularVelocitySeries(t, foot_series.samples[i0:i1], Frame.FOOT_KINEMATIC)
-
-        def shifted_pair(tau):
-            return covariance_set(AngularVelocitySeries(
-                t, resample(imu.time_grid, imu.samples, t + tau), Frame.FOOT_IMU), foot)
+        lags = np.arange(-50, 51)
+        np.testing.assert_array_equal(estimate.scan[:, 0], lags * foot_series.uniform_dt())
 
         expected = []
-        for tau in estimate.scan[:, 0]:
+        for k in lags:
+            imu_window = AngularVelocitySeries(t, imu.samples[i0 + k:i1 + k], Frame.FOOT_IMU)
             try:
-                expected.append(trace_correlation(shifted_pair(tau)))
+                expected.append(trace_correlation(covariance_set(imu_window, foot)))
             except IllConditionedError:
                 expected.append(np.nan)
         np.testing.assert_array_equal(estimate.scan[:, 1], expected)
         assert np.isnan(expected).any() == (silent_x_samples > 0)
-        winner = shifted_pair(estimate.time_offset)
+        shifted = AngularVelocitySeries(
+            t, resample(imu.time_grid, imu.samples, t + estimate.time_offset), Frame.FOOT_IMU)
+        refined = covariance_set(shifted, foot)
         for name in ("sigma_ii", "sigma_ff", "sigma_if", "sigma_fi"):
             np.testing.assert_array_equal(getattr(estimate.covariance, name),
-                                          getattr(winner, name))
+                                          getattr(refined, name))
 
     def test_range_beyond_quarter_span_rejected(self, foot_series):
         with pytest.raises(ValueError):
             estimate_time_offset(foot_series, foot_series,
-                                 OffsetSearch(offset_range=foot_series.span / 2, step=0.01))
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            OffsetSearch(offset_range=0.1, step=0.0)
+                                 OffsetSearch(offset_range=foot_series.span / 2))
 
 
 class TestEstimateRotation:
@@ -288,18 +301,19 @@ class TestCalibrate:
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
         result = calibrate(imu, foot_series, options())
         np.testing.assert_allclose(result.rotation, np.eye(3), atol=1e-9)
-        assert result.time_offset == 0.0
+        assert abs(result.time_offset) <= 1e-9 / RATE
         assert result.correlation == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_noiseless_consistency_recovers_injected_truth(self, foot_series, seed):
         # primary oracle-equivalence property: with zero noise and an
-        # on-grid offset, calibration reproduces the injected truth exactly
+        # on-grid offset, calibration reproduces the injected truth to
+        # within rounding (the parabolic refinement is not grid-valued)
         rng = np.random.default_rng(seed)
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
         result = calibrate(imu, foot_series, options())
-        assert result.time_offset == truth.time_offset
+        assert abs(result.time_offset - truth.time_offset) <= 1e-9 / RATE
         assert rotation_error(result.rotation, truth.euler_deg).degrees <= 1e-6
 
     def test_noisy_truth_recovery(self, foot_series):

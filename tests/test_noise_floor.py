@@ -1,0 +1,75 @@
+"""Calibration on an optimized a2i trajectory is unbiased down to the noise floor.
+
+With white IMU noise of per-sample std sigma and a diagonal foot
+auto-covariance diag(s), the rotation estimate S_FF^-1 S_FI has a
+per-axis error variance of sigma^2 / (4 (N - 1)) * (1/s_j + 1/s_k), where
+j and k are the other two axes. An offset error leaks into the rotation,
+so a biased offset scan shows up here as an excess over that closed form.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.spatial.transform import Rotation
+
+from footcalib import (
+    CalibrationOptions,
+    NoiseModel,
+    OptimizerConfig,
+    calibrate,
+    calibration_geometry,
+    eval_basis,
+    initial_basis_spec,
+    optimize,
+    random_ground_truth,
+    simulate_imu,
+    trajectory_to_foot_velocity,
+)
+from footcalib.calibrate import _paired_window
+from footcalib.harness import _child_seed
+from footcalib.optimizer import sample_covariance
+
+RATE = 500.0
+WINDOW = 1000
+SEEDS = range(100)
+
+
+@pytest.fixture(scope="module")
+def fl_a2i_series():
+    """Two periods of the FL a2i trajectory of the default matrix, seed 0."""
+    config = OptimizerConfig()
+    result = optimize(initial_basis_spec(config, seed=_child_seed(config.seed, 1, 0, 1, 0)),
+                      config, calibration_geometry())
+    grid = np.arange(2 * int(round(result.spec.period * RATE)) + 1) / RATE
+    return trajectory_to_foot_velocity(calibration_geometry(), eval_basis(result.spec, grid))
+
+
+@pytest.mark.parametrize("index, density", [(0, 0.06), (1, 0.3)])
+def test_rotation_error_at_noise_floor(fl_a2i_series, index, density):
+    options = CalibrationOptions(offset_range=0.25, window_samples=WINDOW)
+    errors = []
+    td_errors = []
+    for seed in SEEDS:
+        truth = random_ground_truth(np.random.default_rng(seed), 0.1, grid_step=1 / RATE)
+        noise = NoiseModel(density, RATE, seed=1000 * index + seed)
+        imu = simulate_imu(fl_a2i_series, truth, noise)
+        result = calibrate(imu, fl_a2i_series, options)
+        errors.append(Rotation.from_matrix(result.rotation @ truth.rotation.T).as_rotvec())
+        td_errors.append(abs(result.time_offset - truth.time_offset) * RATE)
+    errors = np.array(errors)
+
+    i0, i1 = _paired_window(fl_a2i_series, fl_a2i_series, options.offset_range, WINDOW)
+    s = np.diag(sample_covariance(fl_a2i_series.samples[i0:i1]))
+    sigma = NoiseModel(density, RATE).sigma_rad_s
+    predicted = np.sqrt(sigma ** 2 / (4 * (WINDOW - 1))
+                        * np.array([1 / s[1] + 1 / s[2], 1 / s[0] + 1 / s[2],
+                                    1 / s[0] + 1 / s[1]]))
+    std = errors.std(axis=0, ddof=1)
+    sem = std / math.sqrt(len(errors))
+    detail = (f"std/predicted {np.round(std / predicted, 3)}, "
+              f"|mean|/SEM {np.round(np.abs(errors.mean(axis=0)) / sem, 2)}, "
+              f"mean |t_d error| {np.mean(td_errors):.4f} samples")
+    assert np.all(std <= 1.3 * predicted), detail
+    assert np.all(np.abs(errors.mean(axis=0)) <= 3 * sem), detail
+    assert np.mean(td_errors) <= 0.1, detail
