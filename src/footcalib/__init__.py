@@ -40,10 +40,8 @@ from .harness import (
 from .kinematics import (
     AngularVelocitySeries,
     Frame,
-    JointLimitStatus,
     JointTrajectory,
     LegGeometry,
-    joint_limit_report,
     trajectory_to_foot_velocity,
 )
 from .optimizer import (
@@ -52,7 +50,6 @@ from .optimizer import (
     OptimizeResult,
     OptimizerConfig,
     Schedule,
-    auto_covariance,
     condition_number,
     derive_schedule,
     eval_basis,

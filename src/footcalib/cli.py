@@ -23,7 +23,14 @@ import numpy as np
 from . import harness, io
 from .calibrate import CalibrationOptions, calibrate
 from .kinematics import trajectory_to_foot_velocity
-from .optimizer import OptimizerConfig, diagonality_ratio, initial_basis_spec, optimize
+from .optimizer import (
+    OptimizerConfig,
+    derive_schedule,
+    diagonality_ratio,
+    eval_basis,
+    initial_basis_spec,
+    optimize,
+)
 from .simulate import GroundTruth, NoiseModel, simulate_imu
 
 
@@ -90,7 +97,8 @@ def _cmd_optimize(args) -> int:
                       config, harness.calibration_geometry())
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_optimizer_result(args.out / "basis_spec.json", result)
-    io.write_trajectory(args.out / "trajectory.csv", result.trajectory)
+    grid = derive_schedule(config.imu_frequency, config.offset_range).time_grid
+    io.write_trajectory(args.out / "trajectory.csv", eval_basis(result.spec, grid))
     print(f"kappa={result.kappa_final:.6g} iterations={result.iterations} "
           f"converged={result.converged} -> {args.out / 'trajectory.csv'}")
     return 0

@@ -27,45 +27,50 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_table(path, header: str, matrix, tag: str = "") -> None:
+    """Write ``header`` and one line per row of the float matrix: its values
+    in ``%.17g``, then ``tag`` as a last field when one is given."""
+    data = np.asarray(matrix, dtype=float)
+    row = ",".join(["%.17g"] * data.shape[1] + ([tag] if tag else []))
+    text = "\n".join([header] + [row] * len(data)) % tuple(data.ravel().tolist())
+    Path(path).write_text(text + "\n")
+
+
+def _read_table(path, header: str, tagged: bool = False) -> tuple[np.ndarray, set[str]]:
+    """Float matrix of the rows under ``header``, and the set of their tags
+    (the last field) for a tagged table."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    width = header.count(",") + 1
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{path}: expected {width} columns")
+    tags = {row.pop() for row in rows} if tagged else set()
+    return np.array(rows, dtype=float).reshape(len(rows), width - 1 if tagged else width), tags
+
+
 def write_trajectory(path, traj: JointTrajectory) -> None:
-    lines = [TRAJECTORY_HEADER]
-    columns = (traj.time_grid, traj.theta_hip, traj.theta_thigh, traj.theta_calf,
-               traj.dtheta_hip, traj.dtheta_thigh, traj.dtheta_calf)
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, TRAJECTORY_HEADER, np.column_stack([
+        traj.time_grid, traj.theta_hip, traj.theta_thigh, traj.theta_calf,
+        traj.dtheta_hip, traj.dtheta_thigh, traj.dtheta_calf]))
 
 
 def read_trajectory(path) -> JointTrajectory:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise ValueError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != 7:
-        raise ValueError(f"{path}: expected 7 columns")
-    return JointTrajectory(*(data[:, k] for k in range(7)))
+    data, _ = _read_table(path, TRAJECTORY_HEADER)
+    return JointTrajectory(*data.T)
 
 
 def write_measurements(path, series: AngularVelocitySeries) -> None:
-    lines = [MEASUREMENT_HEADER]
-    for t, (wx, wy, wz) in zip(series.time_grid, series.samples):
-        lines.append(f"{_fmt(t)},{_fmt(wx)},{_fmt(wy)},{_fmt(wz)},{series.frame.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, MEASUREMENT_HEADER, np.column_stack([series.time_grid, series.samples]),
+                 series.frame.value)
 
 
 def read_measurements(path) -> AngularVelocitySeries:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != MEASUREMENT_HEADER:
-        raise ValueError(f"{path}: expected header {MEASUREMENT_HEADER!r}")
-    times, samples, frames = [], [], set()
-    for line in lines[1:]:
-        t, wx, wy, wz, frame = line.split(",")
-        times.append(float(t))
-        samples.append((float(wx), float(wy), float(wz)))
-        frames.add(frame)
+    data, frames = _read_table(path, MEASUREMENT_HEADER, tagged=True)
     if len(frames) != 1:
         raise ValueError(f"{path}: expected a single frame tag, got {sorted(frames)}")
-    return AngularVelocitySeries(np.array(times), np.array(samples), Frame(frames.pop()))
+    return AngularVelocitySeries(data[:, 0], data[:, 1:], Frame(frames.pop()))
 
 
 def _dump_json(path, payload) -> None:
@@ -214,7 +219,4 @@ def _json_float(value: float):
 
 
 def write_offset_scan(path, scan: np.ndarray) -> None:
-    lines = ["t_d,r"]
-    for t_d, r in scan:
-        lines.append(f"{_fmt(t_d)},{_fmt(r)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, "t_d,r", scan)

@@ -137,9 +137,6 @@ class JointTrajectory:
     def dtheta_sum(self) -> np.ndarray:
         return self.dtheta_thigh + self.dtheta_calf
 
-    def joint_angles(self, joint: str) -> np.ndarray:
-        return getattr(self, f"theta_{joint}")
-
 
 @dataclass(frozen=True)
 class AngularVelocitySeries:
@@ -190,34 +187,22 @@ def resample(time_grid: np.ndarray, samples: np.ndarray, query: np.ndarray) -> n
     return np.column_stack([np.interp(query, time_grid, samples[:, k]) for k in range(3)])
 
 
+def foot_velocity(dtheta_hip: np.ndarray, theta_sum: np.ndarray, dtheta_sum: np.ndarray) -> np.ndarray:
+    """Foot angular velocity, shape (n, 3), of a standard-twist leg from plain joint arrays.
+
+    ``theta_sum`` and ``dtheta_sum`` are the combined thigh+calf angle and
+    rate. Nothing is validated here; ``trajectory_to_foot_velocity`` is
+    the checked entry point.
+    """
+    return np.column_stack([
+        -dtheta_hip * np.sin(theta_sum),
+        -dtheta_hip * np.cos(theta_sum),
+        dtheta_sum,
+    ])
+
+
 def trajectory_to_foot_velocity(geometry: LegGeometry, traj: JointTrajectory) -> AngularVelocitySeries:
     """Map a joint trajectory to the foot-end angular-velocity series."""
     geometry.require_standard_twists()
-    theta_sum = traj.theta_sum
-    omega = np.column_stack([
-        -traj.dtheta_hip * np.sin(theta_sum),
-        -traj.dtheta_hip * np.cos(theta_sum),
-        traj.dtheta_sum,
-    ])
+    omega = foot_velocity(traj.dtheta_hip, traj.theta_sum, traj.dtheta_sum)
     return AngularVelocitySeries(traj.time_grid, omega, Frame.FOOT_KINEMATIC)
-
-
-@dataclass(frozen=True)
-class JointLimitStatus:
-    """Motion range of one joint and whether it stayed inside its limits."""
-
-    range_rad: float
-    in_bounds: bool
-
-
-def joint_limit_report(traj: JointTrajectory, geometry: LegGeometry) -> dict[str, JointLimitStatus]:
-    """Per-joint motion range and limit compliance for a trajectory."""
-    report = {}
-    for joint in ("hip", "thigh", "calf"):
-        angles = traj.joint_angles(joint)
-        lo, hi = geometry.limits(joint)
-        report[joint] = JointLimitStatus(
-            range_rad=float(angles.max() - angles.min()),
-            in_bounds=bool(angles.min() >= lo and angles.max() <= hi),
-        )
-    return report

@@ -13,23 +13,21 @@ matched harmonics between the hip-rate derivative and cos(thigh+calf))
 and the covariance is then far from diagonal. Restricting to odd
 multiples removes every matched pair and the off-diagonals vanish to
 machine precision.
+
+The loss inside the descent runs on plain arrays over a read-only sin/cos
+basis table that is built once per schedule; input is validated where it
+enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import (
-    AngularVelocitySeries,
-    Frame,
-    JointTrajectory,
-    LegGeometry,
-    joint_limit_report,
-    trajectory_to_foot_velocity,
-)
+from .kinematics import JointTrajectory, LegGeometry, foot_velocity, trajectory_to_foot_velocity
 
 JOINTS = ("hip", "thigh", "calf")
 
@@ -100,13 +98,13 @@ class BasisSpec:
         return len(self.hip_rate_coeffs)
 
     @property
-    def harmonic_multipliers(self) -> np.ndarray:
-        """Odd integer multipliers 1, 3, 5, ... of the base frequency."""
-        return 2 * np.arange(1, self.harmonic_count + 1) - 1
-
-    @property
     def angular_frequencies(self) -> np.ndarray:
-        return self.harmonic_multipliers * self.base_frequency
+        return _angular_frequencies(self.harmonic_count, self.base_frequency)
+
+
+def _angular_frequencies(harmonic_count: int, base_frequency: float) -> np.ndarray:
+    """Odd multiples 1, 3, 5, ... of the base frequency."""
+    return (2 * np.arange(1, harmonic_count + 1) - 1) * base_frequency
 
 
 @dataclass(frozen=True)
@@ -162,49 +160,45 @@ def eval_basis(spec: BasisSpec, time_grid) -> JointTrajectory:
     so every joint oscillates about zero.
     """
     t = np.asarray(time_grid, dtype=float)
-    w = spec.angular_frequencies
-    phase = np.outer(w, t)
-    sin_ph = np.sin(phase)
-    cos_ph = np.cos(phase)
+    phase = np.outer(spec.angular_frequencies, t)
+    return JointTrajectory(t, *_joint_arrays(spec, np.sin(phase), np.cos(phase)))
 
-    dtheta_hip = spec.hip_rate_coeffs @ sin_ph
-    theta_hip = -(spec.hip_rate_coeffs / w) @ cos_ph
+
+def _joint_arrays(spec: BasisSpec, sin_ph: np.ndarray, cos_ph: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf)
+    from the amplitudes and the basis rows sin(w_k t), cos(w_k t)."""
+    w = spec.angular_frequencies
     rate_sum = spec.pitch_rate_coeffs @ cos_ph
     angle_sum = (spec.pitch_rate_coeffs / w) @ sin_ph
-
     rho = spec.calf_share
-    return JointTrajectory(
-        time_grid=t,
-        theta_hip=theta_hip,
-        theta_thigh=(1.0 - rho) * angle_sum,
-        theta_calf=rho * angle_sum,
-        dtheta_hip=dtheta_hip,
-        dtheta_thigh=(1.0 - rho) * rate_sum,
-        dtheta_calf=rho * rate_sum,
-    )
+    return (-(spec.hip_rate_coeffs / w) @ cos_ph, (1.0 - rho) * angle_sum, rho * angle_sum,
+            spec.hip_rate_coeffs @ sin_ph, (1.0 - rho) * rate_sum, rho * rate_sum)
+
+
+@functools.lru_cache(maxsize=16)
+def _period_basis(harmonic_count: int, base_frequency: float, period: float,
+                  imu_frequency: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only one-period grid and the sin and cos basis rows on it.
+
+    The grid is half-open, t = 0 .. T - 1/f_imu: covariance evaluation
+    must leave out the duplicated endpoint sample, because including t=T
+    counts the first phase twice, which biases the sample means by O(1/N)
+    and lifts the covariance off-diagonals far above machine precision.
+    """
+    n = int(round(period * imu_frequency))
+    if n < 2:
+        raise ValueError("period times sample rate must be at least 2 samples")
+    grid = np.arange(n) / imu_frequency
+    phase = np.outer(_angular_frequencies(harmonic_count, base_frequency), grid)
+    arrays = (grid, np.sin(phase), np.cos(phase))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def one_period_grid(spec: BasisSpec, imu_frequency: float) -> np.ndarray:
-    """Half-open grid covering exactly one period: t = 0 .. T - 1/f_imu.
-
-    Covariance evaluation must leave out the duplicated endpoint sample:
-    including t=T counts the first phase twice, which biases the sample
-    means by O(1/N) and lifts the covariance off-diagonals far above
-    machine precision.
-    """
-    n = int(round(spec.period * imu_frequency))
-    if n < 2:
-        raise ValueError("period times sample rate must be at least 2 samples")
-    return np.arange(n) / imu_frequency
-
-
-def auto_covariance(series: AngularVelocitySeries) -> np.ndarray:
-    """Sample auto-covariance (mean-centred, 1/(N-1)) of a foot-frame series."""
-    if series.frame is not Frame.FOOT_KINEMATIC:
-        raise ValueError(f"auto_covariance expects a FootKinematic series, got {series.frame}")
-    if len(series) < 2:
-        raise ValueError("need at least 2 samples for a covariance")
-    return sample_covariance(series.samples)
+    """Half-open grid covering exactly one period (read-only; see ``_period_basis``)."""
+    return _period_basis(spec.harmonic_count, spec.base_frequency, spec.period, imu_frequency)[0]
 
 
 def sample_covariance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -226,7 +220,7 @@ def diagonality_ratio(spec: BasisSpec, imu_frequency: float, geometry: LegGeomet
     machine precision.
     """
     traj = eval_basis(spec, one_period_grid(spec, imu_frequency))
-    sigma = auto_covariance(trajectory_to_foot_velocity(geometry, traj))
+    sigma = sample_covariance(trajectory_to_foot_velocity(geometry, traj).samples)
     off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
     return off / sigma.diagonal().max()
 
@@ -255,28 +249,34 @@ def condition_number(matrix) -> float:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss breakdown: condition number plus active joint-limit penalties."""
+    """Loss value: condition number plus active joint-limit penalties."""
 
     loss: float
     kappa: float
-    penalties: dict[str, float]
     in_bounds: bool
 
 
 def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> LossReport:
     """Condition number of the foot velocity covariance over one period,
     plus weight * motion-range penalties for joints that leave their limits."""
-    traj = eval_basis(spec, one_period_grid(spec, config.imu_frequency))
-    sigma = auto_covariance(trajectory_to_foot_velocity(geometry, traj))
-    kappa = condition_number(sigma)
-    report = joint_limit_report(traj, geometry)
-    penalties = {}
-    for joint in JOINTS:
-        status = report[joint]
-        penalties[joint] = 0.0 if status.in_bounds else config.penalty_weight(joint) * status.range_rad
-    in_bounds = all(report[j].in_bounds for j in JOINTS)
-    return LossReport(loss=kappa + sum(penalties.values()), kappa=kappa,
-                      penalties=penalties, in_bounds=in_bounds)
+    geometry.require_standard_twists()
+    _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.base_frequency, spec.period,
+                                      config.imu_frequency)
+    theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf = \
+        _joint_arrays(spec, sin_ph, cos_ph)
+    # the same float operations, in the same order, as eval_basis followed
+    # by trajectory_to_foot_velocity, so kappa equals the checked path's
+    omega = foot_velocity(dtheta_hip, theta_thigh + theta_calf, dtheta_thigh + dtheta_calf)
+    kappa = condition_number(sample_covariance(omega))
+    penalty = 0.0
+    in_bounds = True
+    for joint, angles in zip(JOINTS, (theta_hip, theta_thigh, theta_calf)):
+        lower, upper = geometry.limits(joint)
+        low, high = angles.min(), angles.max()
+        if not (low >= lower and high <= upper):
+            penalty += config.penalty_weight(joint) * float(high - low)
+            in_bounds = False
+    return LossReport(loss=kappa + penalty, kappa=kappa, in_bounds=in_bounds)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,6 @@ class OptimizeResult:
     """Best trajectory found by the gradient descent."""
 
     spec: BasisSpec
-    trajectory: JointTrajectory
     kappa_history: np.ndarray
     loss_history: np.ndarray
     kappa_final: float
@@ -342,6 +341,8 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
     while not converged and iterations < config.max_iterations:
         iterations += 1
         grad = loss_gradient(_with_coeffs(initial, params), config, geometry)
+        if not np.all(np.isfinite(grad)):
+            break  # no finite descent direction
 
         step = config.step_size
         moved = False
@@ -363,12 +364,8 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
         if report.kappa < config.kappa_objective and report.in_bounds:
             converged = True
 
-    best_spec = _with_coeffs(initial, best_params)
-    schedule_grid = derive_schedule(config.imu_frequency, best_spec.period / 8.0).time_grid
-    trajectory = eval_basis(best_spec, schedule_grid)
     return OptimizeResult(
-        spec=best_spec,
-        trajectory=trajectory,
+        spec=_with_coeffs(initial, best_params),
         kappa_history=np.asarray(kappa_history),
         loss_history=np.asarray(loss_history),
         kappa_final=best.kappa,

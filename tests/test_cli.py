@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from footcalib.cli import main
-from footcalib.io import read_measurements, read_rows_csv
+from footcalib.io import read_measurements, read_rows_csv, read_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,14 @@ class TestPipeline:
         doc = json.loads((pipeline_dir / "basis_spec.json").read_text())
         assert doc["kappa_final"] <= 1.6
         assert (pipeline_dir / "trajectory.csv").exists()
+
+    def test_trajectory_spans_one_closed_period(self, pipeline_dir):
+        doc = json.loads((pipeline_dir / "basis_spec.json").read_text())
+        n = int(round(doc["T"] * 500.0))
+        traj = read_trajectory(pipeline_dir / "trajectory.csv")
+        assert len(traj) == n + 1
+        assert traj.time_grid[0] == 0.0
+        assert traj.time_grid[-1] == doc["T"]
 
     def test_simulate_outputs(self, pipeline_dir):
         imu = read_measurements(pipeline_dir / "imu_measurements.csv")

@@ -11,7 +11,6 @@ from footcalib import (
     LegGeometry,
     UnsupportedGeometryError,
     eval_basis,
-    joint_limit_report,
     trajectory_to_foot_velocity,
 )
 
@@ -97,35 +96,6 @@ class TestTrajectoryToFootVelocity:
         lhs = series.samples[:, 0] ** 2 + series.samples[:, 1] ** 2
         rhs = traj.dtheta_hip ** 2
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-class TestJointLimitReport:
-    def test_constant_mid_range(self, go2_geometry):
-        traj = constant_trajectory(50, hip=0.0, thigh=0.9, calf=-1.7)
-        report = joint_limit_report(traj, go2_geometry)
-        for joint in ("hip", "thigh", "calf"):
-            assert report[joint].range_rad == 0.0
-            assert report[joint].in_bounds
-
-    def test_single_violating_sample(self, go2_geometry):
-        n = 50
-        t = np.arange(n) / 500.0
-        hip = np.zeros(n)
-        hip[20] = go2_geometry.hip_limits[1] + 0.1
-        z = np.zeros(n)
-        traj = make_trajectory(t, hip, z, np.full(n, -1.7), z, z, z)
-        report = joint_limit_report(traj, go2_geometry)
-        assert not report["hip"].in_bounds
-        assert report["calf"].in_bounds
-
-    def test_sinusoid_range_is_twice_amplitude(self, go2_geometry):
-        # 1 Hz sinusoid at 500 Hz hits both extrema exactly on the grid
-        t = np.arange(500) / 500.0
-        thigh = 0.9 + 0.5 * np.sin(2 * math.pi * t)
-        z = np.zeros(500)
-        traj = make_trajectory(t, z, thigh, np.full(500, -1.7), z, z, z)
-        report = joint_limit_report(traj, go2_geometry)
-        assert abs(report["thigh"].range_rad - 1.0) <= 1e-9
 
 
 class TestDomainTypes:

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from footcalib import (
-    AngularVelocitySeries,
     BasisSpec,
-    Frame,
     IllConditionedError,
     LegGeometry,
     OptimizerConfig,
-    auto_covariance,
     condition_number,
     derive_schedule,
     eval_basis,
@@ -22,6 +19,7 @@ from footcalib import (
     trajectory_to_foot_velocity,
 )
 from footcalib.calibrate import require_invertible
+from footcalib.optimizer import sample_covariance
 from conftest import brute_force_pair_covariance
 
 
@@ -94,19 +92,13 @@ class TestEvalBasis:
                       base_frequency=1.0, period=2 * math.pi)
 
 
-def kinematic_series(samples):
-    samples = np.asarray(samples, dtype=float)
-    t = np.arange(len(samples)) / 500.0
-    return AngularVelocitySeries(t, samples, Frame.FOOT_KINEMATIC)
-
-
 class TestAutoCovariance:
     def test_constant_series_gives_zero(self):
-        sigma = auto_covariance(kinematic_series(np.tile([0.3, -0.2, 1.1], (50, 1))))
+        sigma = sample_covariance(np.tile([0.3, -0.2, 1.1], (50, 1)))
         np.testing.assert_allclose(sigma, np.zeros((3, 3)), atol=1e-30)
 
     def test_two_point_series(self):
-        sigma = auto_covariance(kinematic_series([[1, 0, 0], [-1, 0, 0]]))
+        sigma = sample_covariance(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
         np.testing.assert_allclose(sigma, np.diag([2.0, 0.0, 0.0]), atol=1e-15)
 
     def test_single_harmonic_period_is_diagonal(self, go2_geometry):
@@ -115,21 +107,12 @@ class TestAutoCovariance:
                          base_frequency=math.pi, period=2.0)
         traj = eval_basis(spec, one_period_grid(spec, rate))
         series = trajectory_to_foot_velocity(go2_geometry, traj)
-        sigma = auto_covariance(series)
+        sigma = sample_covariance(series.samples)
         off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
         assert off <= 1e-9 * sigma.diagonal().max()
         # diagonal matches an independent discrete-sum oracle
         oracle = brute_force_pair_covariance(series.samples, series.samples)
         np.testing.assert_allclose(sigma.diagonal(), oracle.diagonal(), rtol=1e-12)
-
-    def test_rejects_imu_frame(self):
-        series = AngularVelocitySeries(np.arange(10) / 500.0, np.zeros((10, 3)), Frame.FOOT_IMU)
-        with pytest.raises(ValueError):
-            auto_covariance(series)
-
-    def test_rejects_short_series(self):
-        with pytest.raises(ValueError):
-            auto_covariance(kinematic_series([[1.0, 0.0, 0.0]]))
 
 
 class TestConditionNumber:
@@ -168,7 +151,6 @@ class TestTrajectoryLoss:
         report = trajectory_loss(IN_BOUNDS_SPEC, OptimizerConfig(), cal_geometry)
         assert report.in_bounds
         assert report.loss == report.kappa
-        assert all(v == 0.0 for v in report.penalties.values())
 
     def test_shrunk_limit_activates_penalty(self, cal_geometry):
         config = OptimizerConfig()
@@ -177,11 +159,10 @@ class TestTrajectoryLoss:
                             calf_limits=cal_geometry.calf_limits)
         report = trajectory_loss(IN_BOUNDS_SPEC, config, tight)
         assert not report.in_bounds
-        assert report.penalties["thigh"] > 0.0
         traj = eval_basis(IN_BOUNDS_SPEC, one_period_grid(IN_BOUNDS_SPEC, config.imu_frequency))
         theta_range = float(np.ptp(traj.theta_thigh))
-        assert report.penalties["thigh"] == config.penalty_thigh * theta_range
-        assert report.loss == report.kappa + report.penalties["thigh"]
+        assert theta_range > 0.0
+        assert report.loss == report.kappa + config.penalty_thigh * theta_range
 
     def test_matches_brute_force_oracle(self, cal_geometry):
         config = OptimizerConfig()
@@ -193,6 +174,15 @@ class TestTrajectoryLoss:
         sigma = brute_force_pair_covariance(series.samples, series.samples)
         eigenvalues = np.linalg.eigvalsh(sigma)
         assert report.loss == pytest.approx(eigenvalues[-1] / eigenvalues[0], rel=1e-9)
+
+    def test_kappa_equals_checked_path_bit_for_bit(self, cal_geometry):
+        config = OptimizerConfig()
+        for seed in range(5):
+            spec = initial_basis_spec(config, seed=seed, calf_share=0.3)
+            traj = eval_basis(spec, one_period_grid(spec, config.imu_frequency))
+            omega = trajectory_to_foot_velocity(cal_geometry, traj).samples
+            report = trajectory_loss(spec, config, cal_geometry)
+            assert report.kappa == condition_number(sample_covariance(omega))
 
     def test_gradient_consistent_across_epsilons(self, cal_geometry):
         config = OptimizerConfig()
@@ -244,10 +234,17 @@ class TestOptimize:
         np.testing.assert_array_equal(first.spec.pitch_rate_coeffs, second.spec.pitch_rate_coeffs)
         np.testing.assert_array_equal(first.kappa_history, second.kappa_history)
 
-    def test_trajectory_spans_one_closed_period(self, converged_result):
-        config = OptimizerConfig()
-        n = int(round(converged_result.spec.period * config.imu_frequency))
-        assert len(converged_result.trajectory) == n + 1
+    @pytest.mark.parametrize("hip", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    def test_infinite_kappa_start_stops_unconverged(self, cal_geometry, hip):
+        # the covariance of either start is singular, so the loss and the
+        # finite-difference gradient around it are not finite
+        initial = BasisSpec(hip_rate_coeffs=hip, pitch_rate_coeffs=[0.0, 0.0, 0.0],
+                            base_frequency=math.pi, period=2.0)
+        result = optimize(initial, OptimizerConfig(max_iterations=5), cal_geometry)
+        assert not result.converged
+        assert result.kappa_final == math.inf
+        np.testing.assert_array_equal(result.spec.hip_rate_coeffs, hip)
+        np.testing.assert_array_equal(result.spec.pitch_rate_coeffs, np.zeros(3))
 
     def test_coefficients_stay_finite(self, cal_geometry):
         config = OptimizerConfig(seed=1, max_iterations=60, step_size=5.0)
