@@ -3,9 +3,12 @@
 The time offset is found by sliding the IMU stream over the kinematic
 foot-end series one sample at a time, scoring each integer lag by the
 trace correlation, and refining the best lag to a fraction of a sample
-with a parabola through its two neighbours. The extrinsic rotation then
-comes from an SVD-projected product of the covariance matrices at the
-refined offset.
+with a parabola through its two neighbours. Every lag is scored in one
+pass: the cross-covariances of all lags come from nine ``np.correlate``
+calls and the IMU auto-covariances from windowed prefix sums, and the
+per-lag 3x3 algebra is batched. The extrinsic rotation then comes from
+an SVD-projected product of the covariance matrices at the refined
+offset.
 """
 
 from __future__ import annotations
@@ -29,10 +32,15 @@ def is_proper_rotation(matrix: np.ndarray) -> bool:
                 and abs(np.linalg.det(matrix) - 1.0) <= 1e-9)
 
 
+def _singular(sigma: np.ndarray) -> np.ndarray:
+    """Per stacked 3x3 matrix: smallest singular value below 1e-12 of the largest, or all zero."""
+    s = np.linalg.svd(sigma, compute_uv=False)
+    return (s[..., 0] == 0.0) | (s[..., -1] < 1e-12 * s[..., 0])
+
+
 def require_invertible(sigma: np.ndarray, name: str) -> None:
     """Raise if an auto-covariance is singular at the 1e-12 relative SVD floor."""
-    s = np.linalg.svd(sigma, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
+    if _singular(sigma):
         raise IllConditionedError(
             f"{name} is singular at the 1e-12 relative floor; "
             "the motion is insufficiently excited"
@@ -75,15 +83,19 @@ def covariance_set(imu_shifted: AngularVelocitySeries, foot: AngularVelocitySeri
                          sigma_if=sample_covariance(imu_shifted.samples, foot.samples))
 
 
-def _trace_correlation(sigma_ii: np.ndarray, sigma_ff: np.ndarray, sigma_if: np.ndarray) -> float:
-    product = np.linalg.solve(sigma_ii, sigma_if) @ np.linalg.solve(sigma_ff, sigma_if.T)
-    r_squared = float(np.trace(product)) / 3.0
-    if r_squared < -1e-9:
-        warnings.warn(f"trace correlation squared is {r_squared}, clamping to 0")
-    r = math.sqrt(max(r_squared, 0.0))
-    if r > 1.0 + 1e-9:
-        warnings.warn(f"trace correlation is {r}, clamping to 1")
-    return min(r, 1.0)
+def _trace_correlation(sigma_ii: np.ndarray, sigma_ff: np.ndarray, sigma_if: np.ndarray) -> np.ndarray:
+    """Clamped trace correlations of stacked (L, 3, 3) ``sigma_ii``/``sigma_if`` with one ``sigma_ff``.
+
+    Each clamp warns at most once per call, naming the most extreme raw value.
+    """
+    product = np.linalg.solve(sigma_ii, sigma_if) @ np.linalg.solve(sigma_ff, sigma_if.swapaxes(-1, -2))
+    r_squared = np.trace(product, axis1=-2, axis2=-1) / 3.0
+    if r_squared.size and r_squared.min() < -1e-9:
+        warnings.warn(f"trace correlation squared is {r_squared.min()}, clamping to 0")
+    r = np.sqrt(np.maximum(r_squared, 0.0))
+    if r.size and r.max() > 1.0 + 1e-9:
+        warnings.warn(f"trace correlation is {r.max()}, clamping to 1")
+    return np.minimum(r, 1.0)
 
 
 def trace_correlation(cov: CovarianceSet) -> float:
@@ -94,7 +106,7 @@ def trace_correlation(cov: CovarianceSet) -> float:
     """
     require_invertible(cov.sigma_ii, "sigma_ii")
     require_invertible(cov.sigma_ff, "sigma_ff")
-    return _trace_correlation(cov.sigma_ii, cov.sigma_ff, cov.sigma_if)
+    return float(_trace_correlation(cov.sigma_ii[None], cov.sigma_ff, cov.sigma_if[None])[0])
 
 
 @dataclass(frozen=True)
@@ -135,22 +147,49 @@ def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
 
 
 def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, foot_window: np.ndarray,
-                      sigma_ff: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with ``foot_window`` per lag k.
+                      sigma_ff: np.ndarray, n: int) -> np.ndarray:
+    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with ``foot_window`` per lag k in [-n, n].
+
+    All 2n+1 lags are scored in one pass over the IMU block
+    ``[i0 - n, i1 + n)``, centred once on its own mean so that the prefix
+    sums below carry no DC level into their cancellation. With W the window
+    length and x the centred block:
+
+    - S_IF(k) is ``np.correlate`` of each IMU column with each column of
+      the centred foot window, nine calls that return every lag at once.
+      Only the foot side needs centring, because it sums to zero.
+    - S_II(k) = (S2 - S1 S1^T / W) / (W - 1), where S1 and S2 are the
+      windowed sums of x and of the six distinct products x_a x_b, taken
+      as differences of their running sums.
 
     ``sigma_ff`` belongs to ``foot_window`` and must be invertible. A lag
-    whose IMU slice has a singular auto-covariance scores NaN.
+    whose S_II(k) is singular at the 1e-12 relative floor scores NaN.
     """
-    rs = np.empty(len(lags))
-    for idx, k in enumerate(lags):
-        window = imu_samples[i0 + k:i1 + k]
-        sigma_ii = sample_covariance(window)
-        try:
-            require_invertible(sigma_ii, "sigma_ii")
-        except IllConditionedError:
-            rs[idx] = np.nan
-            continue
-        rs[idx] = _trace_correlation(sigma_ii, sigma_ff, sample_covariance(window, foot_window))
+    width = i1 - i0
+    block = imu_samples[i0 - n:i1 + n]
+    block = np.ascontiguousarray((block - block.mean(axis=0)).T)
+    foot_centred = np.ascontiguousarray((foot_window - foot_window.mean(axis=0)).T)
+    lag_count = 2 * n + 1
+
+    sigma_if = np.empty((lag_count, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            sigma_if[:, a, b] = np.correlate(block[a], foot_centred[b], "valid")
+    sigma_if /= width - 1
+
+    rows, cols = np.triu_indices(3)
+    running = np.zeros((9, block.shape[1] + 1))
+    np.cumsum(block, axis=1, out=running[:3, 1:])
+    np.cumsum(block[rows] * block[cols], axis=1, out=running[3:, 1:])
+    sums = running[:, width:] - running[:, :lag_count]
+    upper = (sums[3:] - sums[rows] * sums[cols] / width) / (width - 1)
+    sigma_ii = np.empty((lag_count, 3, 3))
+    sigma_ii[:, rows, cols] = upper.T
+    sigma_ii[:, cols, rows] = upper.T
+
+    rs = np.full(lag_count, np.nan)
+    usable = ~_singular(sigma_ii)
+    rs[usable] = _trace_correlation(sigma_ii[usable], sigma_ff, sigma_if[usable])
     return rs
 
 
@@ -195,7 +234,7 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
 
     n = int(math.floor(search.offset_range / dt + 1e-9))
     lags = np.arange(-n, n + 1)
-    rs = _lag_correlations(imu.samples, i0, i1, foot_window, sigma_ff, lags)
+    rs = _lag_correlations(imu.samples, i0, i1, foot_window, sigma_ff, n)
     if np.isnan(rs).all():
         raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
     ties = np.flatnonzero(rs == np.nanmax(rs))
@@ -212,10 +251,12 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
 def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
     """Extrinsic rotation from the covariance set of an aligned pair.
 
-    Decomposes S_FF^-1 S_FI with an SVD and projects onto the special
-    orthogonal group. The result is the matrix R minimizing
-    sum ||R w_imu - w_foot||^2 over the pair; for noiseless
-    rotation-related streams it reproduces the mounting rotation exactly.
+    Projects the unconstrained least-squares map S_FF^-1 S_FI onto the
+    special orthogonal group through its SVD. For noiseless
+    rotation-related streams that map is the mounting rotation itself, so
+    the result reproduces it exactly and minimizes
+    sum ||R w_imu - w_foot||^2; with noise it is in general not the
+    rotation minimizing that residual.
     """
     s_ff = cov.sigma_ff
     sv = np.linalg.svd(s_ff, compute_uv=False)

@@ -14,13 +14,13 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .calibrate import CalibrationOptions, calibrate, is_proper_rotation
 from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 from .optimizer import OptimizerConfig, derive_schedule, eval_basis, initial_basis_spec, optimize
-from .simulate import GaitKind, GaitParams, GroundTruth, NoiseModel, baseline_gait, random_ground_truth, simulate_imu
+from .simulate import (GaitKind, GaitParams, GroundTruth, NoiseModel, baseline_gait, euler_deg_to_matrix,
+                       matrix_to_euler_deg, random_ground_truth, simulate_imu)
 from . import io as fio
 
 FOOT_IDS = ("FL", "FR", "RL", "RR")
@@ -158,11 +158,11 @@ def rotation_error(rotation_estimate, truth_euler_deg) -> RotationError:
     if truth.shape != (3,):
         raise ValueError("truth_euler_deg must be a 3-vector (roll, pitch, yaw) in degrees")
 
-    est_euler = Rotation.from_matrix(est).as_euler("XYZ", degrees=True)
+    est_euler = matrix_to_euler_deg(est)
     per_axis = _wrap_deg(est_euler - truth)
     euler_norm = float(np.sqrt(np.sum(per_axis ** 2)))
 
-    truth_matrix = Rotation.from_euler("XYZ", truth, degrees=True).as_matrix()
+    truth_matrix = euler_deg_to_matrix(truth)
     relative = est @ truth_matrix.T
     cos_angle = np.clip((np.trace(relative) - 1.0) / 2.0, -1.0, 1.0)
     geodesic = float(math.degrees(math.acos(cos_angle)))

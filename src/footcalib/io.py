@@ -17,7 +17,7 @@ import numpy as np
 from .calibrate import CalibrationResult
 from .kinematics import AngularVelocitySeries, Frame, JointTrajectory
 from .optimizer import OptimizeResult
-from .simulate import GroundTruth
+from .simulate import GroundTruth, matrix_to_euler_deg
 
 TRAJECTORY_HEADER = "t,theta_hip,theta_thigh,theta_calf,dtheta_hip,dtheta_thigh,dtheta_calf"
 MEASUREMENT_HEADER = "t,wx,wy,wz,frame"
@@ -105,9 +105,7 @@ def write_optimizer_result(path, result: OptimizeResult) -> None:
 
 
 def write_calibration_report(path, result: CalibrationResult) -> None:
-    from scipy.spatial.transform import Rotation
-
-    euler = Rotation.from_matrix(result.rotation).as_euler("XYZ", degrees=True)
+    euler = matrix_to_euler_deg(result.rotation)
     _dump_json(path, {
         "t_d_s": float(result.time_offset),
         "euler_deg": [float(v) for v in euler],

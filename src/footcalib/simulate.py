@@ -15,9 +15,41 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .kinematics import AngularVelocitySeries, Frame, JointTrajectory, resample
+
+
+def euler_deg_to_matrix(angles) -> np.ndarray:
+    """Rotation matrix Rx(roll) Ry(pitch) Rz(yaw) of intrinsic x-y-z Euler angles in degrees."""
+    radians = np.radians(angles)
+    (ca, cb, cc), (sa, sb, sc) = np.cos(radians), np.sin(radians)
+    return np.array([[cb * cc, -cb * sc, sb],
+                     [ca * sc + sa * sb * cc, ca * cc - sa * sb * sc, -sa * cb],
+                     [sa * sc - ca * sb * cc, sa * cc + ca * sb * sc, ca * cb]])
+
+
+def matrix_to_euler_deg(matrix: np.ndarray) -> np.ndarray:
+    """Intrinsic x-y-z Euler angles (roll, pitch, yaw) in degrees of a rotation matrix.
+
+    Pitch lies in [-90, 90]. Within 1e-7 rad of gimbal lock only roll and
+    yaw together are defined; yaw is then set to 0, as scipy's
+    ``Rotation.as_euler`` does.
+    """
+    cos_pitch = math.hypot(matrix[0, 0], matrix[0, 1])
+    pitch = math.atan2(matrix[0, 2], cos_pitch)
+    if cos_pitch <= 1e-7:
+        roll, yaw = math.atan2(matrix[2, 1], matrix[1, 1]), 0.0
+    else:
+        roll, yaw = math.atan2(-matrix[1, 2], matrix[2, 2]), math.atan2(-matrix[0, 1], matrix[0, 0])
+    return np.degrees([roll, pitch, yaw])
+
+
+def quaternion_to_matrix(q) -> np.ndarray:
+    """Rotation matrix of a unit quaternion in scalar-last (x, y, z, w) order."""
+    x, y, z, w = q
+    return np.array([[x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]])
 
 
 @dataclass(frozen=True)
@@ -40,13 +72,13 @@ class GroundTruth:
     @classmethod
     def from_euler_deg(cls, roll_x: float, pitch_y: float, yaw_z: float,
                        time_offset: float = 0.0) -> "GroundTruth":
-        r = Rotation.from_euler("XYZ", [roll_x, pitch_y, yaw_z], degrees=True).as_matrix()
-        return cls(rotation=r, time_offset=time_offset)
+        return cls(rotation=euler_deg_to_matrix([roll_x, pitch_y, yaw_z]),
+                   time_offset=time_offset)
 
     @property
     def euler_deg(self) -> np.ndarray:
         """Intrinsic x-y-z Euler angles (roll, pitch, yaw) in degrees."""
-        return Rotation.from_matrix(self.rotation).as_euler("XYZ", degrees=True)
+        return matrix_to_euler_deg(self.rotation)
 
 
 def random_ground_truth(rng: np.random.Generator, offset_range: float,
@@ -61,15 +93,15 @@ def random_ground_truth(rng: np.random.Generator, offset_range: float,
     """
     while True:
         q = rng.normal(size=4)
-        r = Rotation.from_quat(q / np.linalg.norm(q))
-        if abs(r.as_euler("XYZ", degrees=True)[1]) <= max_pitch_deg:
+        r = quaternion_to_matrix(q / np.linalg.norm(q))
+        if abs(matrix_to_euler_deg(r)[1]) <= max_pitch_deg:
             break
     if grid_step is not None:
         steps = int(math.floor(offset_range / grid_step + 1e-9))
         t_d = float(rng.integers(-steps, steps + 1)) * grid_step
     else:
         t_d = float(rng.uniform(-offset_range, offset_range))
-    return GroundTruth(rotation=r.as_matrix(), time_offset=t_d)
+    return GroundTruth(rotation=r, time_offset=t_d)
 
 
 @dataclass(frozen=True)

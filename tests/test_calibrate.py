@@ -9,11 +9,13 @@ from footcalib import (
     CalibrationOptions,
     CalibrationResult,
     Frame,
+    GaitKind,
     GroundTruth,
     IllConditionedError,
     NoiseModel,
     OffsetSearch,
     RankDeficiencyError,
+    baseline_gait,
     calibrate,
     calibration_geometry,
     covariance_set,
@@ -215,18 +217,29 @@ class TestEstimateTimeOffset:
         assert edge[1] == np.nanmax(estimate.scan[:, 1])
         assert estimate.time_offset == edge[0]
 
-    @pytest.mark.parametrize("silent_x_samples", [0, 1001])
-    def test_scan_matches_covariance_set_path(self, foot_series, silent_x_samples):
+    @pytest.mark.parametrize("silent_x_samples, level, held", [
+        pytest.param(0, 0.0, 0.0, id="0"),
+        pytest.param(1001, 0.0, 0.0, id="1001"),
+        pytest.param(0, 1e3, 0.0, id="dc"),
+        pytest.param(1001, 0.0, 0.7, id="held"),
+        pytest.param(1001, 1e3, 1e3 + 0.7, id="held-dc"),
+    ])
+    def test_scan_matches_covariance_set_path(self, foot_series, silent_x_samples, level, held):
         # every scan value is trace_correlation(covariance_set(...)) of the
-        # IMU window slid by that integer lag, bit for bit, and the estimate
-        # carries the covariance set of the IMU window resampled at the
-        # estimated offset. With the IMU x axis silent over its first 1001
+        # IMU window slid by that integer lag, to a relative 1e-10 (the
+        # one-pass scan sums in another order than the per-lag covariances),
+        # with NaN at exactly the same lags, and the estimate carries the
+        # covariance set of the IMU window resampled at the estimated offset,
+        # bit for bit. With the IMU x axis held constant over its first 1001
         # samples, the lags whose IMU window lies inside that stretch have a
-        # singular auto-covariance and score NaN.
+        # singular auto-covariance and score NaN. A nonzero constant survives
+        # centring, so only exact cancellation in the running sums of the
+        # scan finds those lags singular; under a DC level of 1e3 on every
+        # axis that holds only if the sums start from centred samples.
         truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=17))
-        samples = imu.samples.copy()
-        samples[:silent_x_samples, 0] = 0.0
+        samples = imu.samples + level
+        samples[:silent_x_samples, 0] = held
         imu = AngularVelocitySeries(imu.time_grid, samples, Frame.FOOT_IMU)
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1),
                                         window_samples=100)
@@ -244,8 +257,10 @@ class TestEstimateTimeOffset:
                 expected.append(trace_correlation(covariance_set(imu_window, foot)))
             except IllConditionedError:
                 expected.append(np.nan)
-        np.testing.assert_array_equal(estimate.scan[:, 1], expected)
-        assert np.isnan(expected).any() == (silent_x_samples > 0)
+        np.testing.assert_array_equal(np.isnan(estimate.scan[:, 1]), np.isnan(expected))
+        np.testing.assert_allclose(estimate.scan[:, 1], expected, rtol=1e-10, atol=0,
+                                   equal_nan=True)
+        assert np.isnan(expected).sum() == (2 if silent_x_samples else 0)
         shifted = AngularVelocitySeries(
             t, resample(imu.time_grid, imu.samples, t + estimate.time_offset), Frame.FOOT_IMU)
         refined = covariance_set(shifted, foot)
@@ -283,6 +298,30 @@ class TestEstimateRotation:
             return float(np.sum((imu.samples @ rotation.T - foot_series.samples) ** 2))
 
         assert residual(best_fit) < residual(best_fit.T)
+
+    def test_is_projection_of_least_squares_map(self, foot_series):
+        # R is the SO(3) projection of S_FF^-1 S_FI, not a residual minimizer
+        truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=21))
+        cov = covariance_set(imu, foot_series)
+        u, _, vt = np.linalg.svd(np.linalg.solve(cov.sigma_ff, cov.sigma_fi))
+        projected = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+        np.testing.assert_allclose(estimate_rotation(cov), projected, rtol=0, atol=1e-15)
+
+    def test_residual_minimizer_differs_on_noisy_ill_conditioned_gait(self, cal_geometry):
+        # on a noisy walk the Kabsch rotation of S_FI leaves a smaller
+        # residual sum ||R w_imu - w_foot||^2 than the projected map
+        foot = trajectory_to_foot_velocity(cal_geometry, baseline_gait(GaitKind.WALK))
+        truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
+        imu = simulate_imu(foot, truth, NoiseModel(0.06, RATE, seed=21))
+        cov = covariance_set(imu, foot)
+        u, _, vt = np.linalg.svd(cov.sigma_fi)
+        kabsch = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+
+        def residual(rotation):
+            return np.trace(cov.sigma_ii) + np.trace(cov.sigma_ff) - 2 * np.trace(rotation @ cov.sigma_if)
+
+        assert residual(kabsch) < residual(estimate_rotation(cov))
 
     def test_rank_deficiency_names_axis(self):
         t = np.arange(200) / RATE

@@ -1,7 +1,14 @@
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
+
+import footcalib
 
 from footcalib import (
     AngularVelocitySeries,
@@ -17,6 +24,7 @@ from footcalib import (
     trajectory_to_foot_velocity,
 )
 from footcalib.optimizer import sample_covariance
+from footcalib.simulate import euler_deg_to_matrix, matrix_to_euler_deg, quaternion_to_matrix
 
 
 def smooth_series(n=2001, rate=500.0):
@@ -48,6 +56,50 @@ class TestGroundTruth:
             steps = truth.time_offset / 0.002
             assert abs(steps - round(steps)) < 1e-9
             assert abs(truth.euler_deg[1]) <= 80.0
+
+
+class TestRotationHelpers:
+    """The numpy rotation helpers against scipy's ``Rotation`` as the independent oracle."""
+
+    def test_random_rotations_match_scipy(self):
+        rng = np.random.default_rng(11)
+        q = rng.normal(size=(2000, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        oracle = Rotation.from_quat(q)
+        matrices = oracle.as_matrix()
+        euler = oracle.as_euler("XYZ", degrees=True)
+        for quat, matrix, angles in zip(q, matrices, euler):
+            np.testing.assert_allclose(quaternion_to_matrix(quat), matrix, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(euler_deg_to_matrix(angles), matrix, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(matrix_to_euler_deg(matrix), angles, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("pitch", [89.9, -89.9, 90.0, -90.0])
+    def test_near_and_at_gimbal_lock_match_scipy(self, pitch):
+        # at exactly ±90 deg only roll ± yaw is defined; both set yaw to 0
+        rng = np.random.default_rng(12)
+        for roll, yaw in rng.uniform(-180, 180, size=(20, 2)):
+            truth = GroundTruth.from_euler_deg(roll, pitch, yaw)
+            oracle = Rotation.from_euler("XYZ", [roll, pitch, yaw], degrees=True)
+            np.testing.assert_allclose(truth.rotation, oracle.as_matrix(), rtol=0, atol=1e-14)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # scipy's gimbal-lock warning
+                expected = Rotation.from_matrix(truth.rotation).as_euler("XYZ", degrees=True)
+            np.testing.assert_allclose(truth.euler_deg, expected, rtol=0, atol=1e-9)
+            again = GroundTruth.from_euler_deg(*truth.euler_deg)
+            np.testing.assert_allclose(again.rotation, truth.rotation, rtol=0, atol=1e-12)
+            if abs(pitch) < 90.0:
+                np.testing.assert_allclose(truth.euler_deg, [roll, pitch, yaw], rtol=0, atol=1e-9)
+            else:
+                assert truth.euler_deg[2] == 0.0
+
+    def test_import_loads_no_scipy(self):
+        # scipy.spatial alone costs tens of MB of resident memory at import
+        src = Path(footcalib.__file__).resolve().parents[1]
+        code = ("import sys; import footcalib; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestNoiseModel:
