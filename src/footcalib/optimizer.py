@@ -16,7 +16,10 @@ machine precision.
 
 The loss inside the descent runs on plain arrays over a read-only sin/cos
 basis table that is built once per schedule; input is validated where it
-enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call.
+enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call. The
+descent follows the analytic gradient of that loss (the derivative of the
+covariance's extreme eigenvalues, plus the joint-limit penalty terms) and
+takes a step only when it strictly lowers the loss.
 """
 
 from __future__ import annotations
@@ -114,7 +117,6 @@ class OptimizerConfig:
     kappa_objective: float = 1.2
     max_iterations: int = 5000
     step_size: float = 0.02
-    fd_epsilon: float = 1e-6
     penalty_hip: float = 10.0
     penalty_thigh: float = 10.0
     penalty_calf: float = 10.0
@@ -127,7 +129,7 @@ class OptimizerConfig:
             raise ValueError("kappa_objective must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        for name in ("step_size", "fd_epsilon", "imu_frequency", "offset_range"):
+        for name in ("step_size", "imu_frequency", "offset_range"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("penalty_hip", "penalty_thigh", "penalty_calf"):
@@ -256,27 +258,34 @@ class LossReport:
     in_bounds: bool
 
 
-def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> LossReport:
-    """Condition number of the foot velocity covariance over one period,
-    plus weight * motion-range penalties for joints that leave their limits."""
+def _period_terms(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry):
+    """Basis rows, joint arrays and foot velocity of ``spec`` over one period,
+    and the joints that leave their limits: what the loss and its gradient share."""
     geometry.require_standard_twists()
     _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.base_frequency, spec.period,
                                       config.imu_frequency)
-    theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf = \
-        _joint_arrays(spec, sin_ph, cos_ph)
+    joints = _joint_arrays(spec, sin_ph, cos_ph)
+    theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf = joints
     # the same float operations, in the same order, as eval_basis followed
     # by trajectory_to_foot_velocity, so kappa equals the checked path's
     omega = foot_velocity(dtheta_hip, theta_thigh + theta_calf, dtheta_thigh + dtheta_calf)
+    outside = []
+    for joint, angles in zip(JOINTS, joints[:3]):
+        lower, upper = geometry.limits(joint)
+        if not (angles.min() >= lower and angles.max() <= upper):
+            outside.append((joint, angles))
+    return sin_ph, cos_ph, joints, omega, outside
+
+
+def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> LossReport:
+    """Condition number of the foot velocity covariance over one period,
+    plus weight * motion-range penalties for joints that leave their limits."""
+    *_, omega, outside = _period_terms(spec, config, geometry)
     kappa = condition_number(sample_covariance(omega))
     penalty = 0.0
-    in_bounds = True
-    for joint, angles in zip(JOINTS, (theta_hip, theta_thigh, theta_calf)):
-        lower, upper = geometry.limits(joint)
-        low, high = angles.min(), angles.max()
-        if not (low >= lower and high <= upper):
-            penalty += config.penalty_weight(joint) * float(high - low)
-            in_bounds = False
-    return LossReport(loss=kappa + penalty, kappa=kappa, in_bounds=in_bounds)
+    for joint, angles in outside:
+        penalty += config.penalty_weight(joint) * float(angles.max() - angles.min())
+    return LossReport(loss=kappa + penalty, kappa=kappa, in_bounds=not outside)
 
 
 @dataclass(frozen=True)
@@ -292,25 +301,55 @@ class OptimizeResult:
     feasible: bool    # returned spec keeps all joints in bounds
 
 
-def _with_coeffs(spec: BasisSpec, params: np.ndarray) -> BasisSpec:
+def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> np.ndarray:
+    """Analytic gradient of the loss over the stacked (hip, pitch) amplitudes.
+
+    With u_max and u_min the extreme unit eigenvectors of the covariance
+    Sigma = w_c^T w_c / (N-1) of the centred foot velocity w_c, each
+    eigenvalue moves as d(lambda) = 2/(N-1) * sum_t (w_c u)_t (dw u)_t
+    (Magnus & Neudecker, Matrix Differential Calculus, ch. 8), and
+    d(kappa) = (d(lambda_max) lambda_min - lambda_max d(lambda_min)) / lambda_min^2.
+    With phi the thigh+calf angle and h the hip rate,
+    dw/dA_k = (-sin phi, -cos phi, 0) sin(w_k t) and
+    dw/dB_k = (-h cos phi, h sin phi, 0) sin(w_k t)/w_k + (0, 0, cos(w_k t)).
+    A joint outside its limits adds weight * (d theta at its argmax -
+    d theta at its argmin), a subgradient where either extreme is tied.
+    Where kappa is infinite the gradient is NaN.
+    """
+    sin_ph, cos_ph, joints, omega, outside = _period_terms(spec, config, geometry)
     n = spec.harmonic_count
-    return replace(spec, hip_rate_coeffs=params[:n].copy(), pitch_rate_coeffs=params[n:].copy())
+    w = spec.angular_frequencies
+    centred = omega - omega.mean(axis=0)
+    # Sigma is symmetric PSD, so its singular vectors are its eigenvectors
+    # and its singular values (those condition_number uses) its eigenvalues
+    vec, lam, _ = np.linalg.svd(centred.T @ centred / (len(omega) - 1))
+    lam_max, lam_min = lam[0], lam[-1]
+    if not lam_min > 1e-15 * lam_max:
+        return np.full(2 * n, math.nan)
+    phi = joints[1] + joints[2]
+    sin_phi, cos_phi, dtheta_hip = np.sin(phi), np.cos(phi), joints[3]
 
+    def eigenvalue_gradient(u: np.ndarray) -> np.ndarray:
+        """d(lambda)/d(A, B) of the eigenvalue with unit eigenvector ``u``."""
+        proj = centred @ u                                   # (w_c u)_t
+        # (w_c u)_t times the factors of dw/dA_k u and of the phi part of
+        # dw/dB_k u that do not depend on k
+        hip_part = proj * -(sin_phi * u[0] + cos_phi * u[1])
+        phi_part = proj * dtheta_hip * (sin_phi * u[1] - cos_phi * u[0])
+        return (2.0 / (len(omega) - 1)) * np.concatenate(
+            [sin_ph @ hip_part, (sin_ph @ phi_part) / w + (cos_ph @ proj) * u[2]])
 
-def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry,
-                  epsilon: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient of the loss over the stacked
-    (hip, pitch) amplitudes; this is the gradient the optimizer descends."""
-    eps = config.fd_epsilon if epsilon is None else epsilon
-    params = np.concatenate([spec.hip_rate_coeffs, spec.pitch_rate_coeffs])
-    grad = np.zeros(len(params))
-    for j in range(len(params)):
-        probe = params.copy()
-        probe[j] += eps
-        up = trajectory_loss(_with_coeffs(spec, probe), config, geometry).loss
-        probe[j] -= 2 * eps
-        down = trajectory_loss(_with_coeffs(spec, probe), config, geometry).loss
-        grad[j] = (up - down) / (2 * eps)
+    grad = (eigenvalue_gradient(vec[:, 0]) * lam_min
+            - lam_max * eigenvalue_gradient(vec[:, -1])) / lam_min ** 2
+    rho = spec.calf_share
+    for joint, angles in outside:
+        high, low = angles.argmax(), angles.argmin()
+        weight = config.penalty_weight(joint) / w
+        if joint == "hip":    # theta_hip = -sum A_k/w_k cos(w_k t)
+            grad[:n] -= weight * (cos_ph[:, high] - cos_ph[:, low])
+        else:                 # thigh and calf split sum B_k/w_k sin(w_k t)
+            share = rho if joint == "calf" else 1.0 - rho
+            grad[n:] += share * weight * (sin_ph[:, high] - sin_ph[:, low])
     return grad
 
 
@@ -319,19 +358,23 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
 
     Per iteration: evaluate the loss, stop early when the condition number
     is below the objective with every joint in bounds, otherwise take a
-    step against the central finite-difference gradient. A step that
-    raises the loss or produces non-finite values is rejected and the step
-    size halved for that iteration; the step size resets after each
-    accepted step. Returns the best iterate seen, preferring in-bounds
-    specs and breaking ties by loss.
+    step against the analytic gradient (``loss_gradient``). A candidate is
+    accepted only when its loss is finite and strictly lower than the
+    current loss; otherwise the step size is halved for that iteration,
+    and the run stops when no step down to 1e-15 of the configured size
+    lowers the loss. The step size resets after each accepted step, so
+    ``loss_history`` strictly decreases. Returns the best iterate seen,
+    preferring in-bounds specs and breaking ties by loss.
     """
+    n = initial.harmonic_count
     params = np.concatenate([initial.hip_rate_coeffs, initial.pitch_rate_coeffs])
 
-    def loss_at(p: np.ndarray) -> LossReport:
-        return trajectory_loss(_with_coeffs(initial, p), config, geometry)
+    def spec_at(p: np.ndarray) -> BasisSpec:
+        return replace(initial, hip_rate_coeffs=p[:n], pitch_rate_coeffs=p[n:])
 
-    best_params = params.copy()
-    report = loss_at(params)
+    best_params = params
+    spec = initial
+    report = trajectory_loss(spec, config, geometry)
     best = report
     kappa_history = [report.kappa]
     loss_history = [report.loss]
@@ -340,7 +383,7 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        grad = loss_gradient(_with_coeffs(initial, params), config, geometry)
+        grad = loss_gradient(spec, config, geometry)
         if not np.all(np.isfinite(grad)):
             break  # no finite descent direction
 
@@ -348,9 +391,10 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
         moved = False
         while step >= 1e-15 * config.step_size:
             candidate = params - step * grad
-            cand_report = loss_at(candidate)
-            if math.isfinite(cand_report.loss) and cand_report.loss <= report.loss:
-                params, report = candidate, cand_report
+            cand_spec = spec_at(candidate)
+            cand_report = trajectory_loss(cand_spec, config, geometry)
+            if math.isfinite(cand_report.loss) and cand_report.loss < report.loss:
+                params, spec, report = candidate, cand_spec, cand_report
                 moved = True
                 break
             step *= 0.5
@@ -360,12 +404,12 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
         kappa_history.append(report.kappa)
         loss_history.append(report.loss)
         if (report.in_bounds, -report.loss) > (best.in_bounds, -best.loss):
-            best, best_params = report, params.copy()
+            best, best_params = report, params
         if report.kappa < config.kappa_objective and report.in_bounds:
             converged = True
 
     return OptimizeResult(
-        spec=_with_coeffs(initial, best_params),
+        spec=spec_at(best_params),
         kappa_history=np.asarray(kappa_history),
         loss_history=np.asarray(loss_history),
         kappa_final=best.kappa,

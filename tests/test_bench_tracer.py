@@ -38,15 +38,15 @@ def test_install_patches_and_uninstall_restores_every_site(tracing):
     try:
         for (module, attr), original in zip(sites, originals):
             assert getattr(module, attr) is not original, f"{module.__name__}.{attr}"
-        # optimize reaches the loss through module globals, so the loss
-        # spans sit under the gradient span
+        # optimize reaches the loss and its gradient through module
+        # globals: one gradient per iteration, and a loss for the start
+        # and for each candidate step
         optimizer = importlib.import_module("footcalib.optimizer")
         spec = BasisSpec([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], math.pi, 2.0)
         optimizer.optimize(spec, OptimizerConfig(max_iterations=1), calibration_geometry())
         table = tracer.span_table()
         assert table["optimizer.loss_gradient"]["calls"] == 1
-        assert table["optimizer.trajectory_loss"]["calls"] >= 13
-        assert tracer.fd_loss_share() > 0.0
+        assert table["optimizer.trajectory_loss"]["calls"] >= 1
     finally:
         tracer.uninstall()
     for (module, attr), original in zip(sites, originals):

@@ -107,6 +107,12 @@ class TestConfig:
         assert config.motions == (Motion.A2I,)
         assert len(config.truths) == 4
 
+    def test_finite_difference_step_key_rejected(self, tmp_path):
+        # the loss gradient is analytic, so a document that still sets the
+        # old finite-difference step is stale and must not load silently
+        with pytest.raises(TypeError, match="fd_epsilon"):
+            config_from_dict({"optimizer": {"fd_epsilon": 1e-6}}, output_dir=tmp_path / "out")
+
     def test_validation_errors(self, tmp_path):
         config = default_experiment_config(tmp_path / "out")
         with pytest.raises(ValueError):
