@@ -24,7 +24,6 @@ from .errors import (
     IllConditionedError,
     RankDeficiencyError,
     TrajectoryRejectedError,
-    UnsupportedGeometryError,
 )
 from .harness import (
     ExperimentConfig,

@@ -116,8 +116,8 @@ class OffsetSearch:
     offset_range: float        # scan covers ±offset_range seconds
 
     def __post_init__(self):
-        if self.offset_range < 0:
-            raise ValueError("offset_range must be >= 0")
+        if not 0 <= self.offset_range < math.inf:
+            raise ValueError("offset_range must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,10 @@ class OffsetEstimate:
     covariance: CovarianceSet  # of the pair on the scan window, IMU resampled at time_offset
 
 
-def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
+def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries, dt: float,
                    offset_range: float, window_samples: int | None) -> tuple[int, int]:
-    """Index window on the common grid valid for every candidate shift."""
+    """Index window on the common grid, of spacing ``dt``, valid for every candidate shift."""
     _require_aligned(imu, foot)
-    dt = foot.uniform_dt()
     margin = int(math.ceil(offset_range / dt - 1e-9))
     i0, i1 = margin, len(foot) - margin
     if i1 - i0 < 2:
@@ -226,8 +225,8 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
         raise ValueError(
             f"offset range {search.offset_range} exceeds a quarter of the series span {foot.span}"
         )
-    i0, i1 = _paired_window(imu, foot, search.offset_range, window_samples)
     dt = foot.uniform_dt()
+    i0, i1 = _paired_window(imu, foot, dt, search.offset_range, window_samples)
     foot_window = foot.samples[i0:i1]
     sigma_ff = sample_covariance(foot_window)
     require_invertible(sigma_ff, "sigma_ff")

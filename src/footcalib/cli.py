@@ -112,7 +112,7 @@ def _cmd_simulate(args) -> int:
         truth = GroundTruth.from_euler_deg(*args.euler, time_offset=args.t_d)
     else:
         raise ValueError("provide --truth or --euler")
-    foot = trajectory_to_foot_velocity(harness.calibration_geometry(), traj)
+    foot = trajectory_to_foot_velocity(traj)
     noise = NoiseModel(density=args.noise, sample_rate=traj.sample_rate, seed=args.seed)
     imu = simulate_imu(foot, truth, noise)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -159,7 +159,6 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_theorem_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    geometry = harness.calibration_geometry()
     config = OptimizerConfig(imu_frequency=args.imu_freq, offset_range=args.t_r)
     worst = 0.0
     failures = 0
@@ -167,7 +166,7 @@ def _cmd_theorem_check(args) -> int:
         n = int(rng.integers(1, args.max_harmonics + 1))
         spec = initial_basis_spec(config, harmonic_count=n,
                                   seed=int(rng.integers(0, 2 ** 32)))
-        ratio = diagonality_ratio(spec, args.imu_freq, geometry)
+        ratio = diagonality_ratio(spec, args.imu_freq)
         worst = max(worst, ratio)
         status = "PASS" if ratio <= args.tolerance else "FAIL"
         failures += status == "FAIL"

@@ -5,15 +5,6 @@ class CalibrationError(Exception):
     """Base class for every error raised by this package."""
 
 
-class UnsupportedGeometryError(CalibrationError, ValueError):
-    """Leg geometry outside the supported twist configuration.
-
-    The closed-form foot angular-velocity map is only valid for the
-    standard twist set (0, -90 deg, 0, 0); any other geometry must fail
-    loudly instead of silently returning a wrong answer.
-    """
-
-
 class IllConditionedError(CalibrationError, ValueError):
     """A covariance matrix is numerically singular for the requested operation."""
 

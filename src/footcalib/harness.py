@@ -93,8 +93,8 @@ class ExperimentConfig:
             raise ValueError("need at least one motion")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if any(d < 0 for d in self.noise_densities):
-            raise ValueError("noise densities must be >= 0")
+        if not all(0 <= d < math.inf for d in self.noise_densities):
+            raise ValueError("noise densities must be finite and >= 0")
         for foot, truth in self.truths.items():
             if abs(truth.time_offset) > self.optimizer.offset_range:
                 raise ValueError(
@@ -329,7 +329,6 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                         if cache_key not in foot_series_cache:
                             try:
                                 foot_series_cache[cache_key] = trajectory_to_foot_velocity(
-                                    config.geometry,
                                     build_trajectory(config, motion, foot, seed))
                             except CalibrationError as exc:
                                 foot_series_cache[cache_key] = exc
@@ -367,7 +366,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     geo = config.geometry
     return {
         "geometry": {
-            "twists": [geo.twist_hip, geo.twist_thigh, geo.twist_calf, geo.twist_foot],
             "hip_limits": list(geo.hip_limits),
             "thigh_limits": list(geo.thigh_limits),
             "calf_limits": list(geo.calf_limits),
@@ -386,13 +384,21 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
-    """Build a config from a JSON document; missing sections take the defaults."""
+    """Build a config from a JSON document; missing sections take the defaults.
+
+    A ``geometry.twists`` entry, which older documents carry, must be the
+    leg's fixed modified-DH twists (0, -pi/2, 0, 0) to 1e-12; the foot
+    velocity map is defined for no other set, so any other value raises
+    ValueError here.
+    """
     if "geometry" in doc:
         g = doc["geometry"]
-        twists = g.get("twists", [0.0, -math.pi / 2, 0.0, 0.0])
+        if "twists" in g:
+            twists = np.asarray(g["twists"], dtype=float)
+            if not (twists.shape == (4,)
+                    and np.all(np.abs(twists - (0.0, -math.pi / 2, 0.0, 0.0)) <= 1e-12)):
+                raise ValueError(f"geometry.twists must be (0, -pi/2, 0, 0), got {g['twists']}")
         geometry = LegGeometry(
-            twist_hip=twists[0], twist_thigh=twists[1],
-            twist_calf=twists[2], twist_foot=twists[3],
             hip_limits=tuple(g["hip_limits"]),
             thigh_limits=tuple(g["thigh_limits"]),
             calf_limits=tuple(g["calf_limits"]),

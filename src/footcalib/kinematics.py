@@ -1,10 +1,10 @@
 """Three-joint leg model and the joint-space to foot-frame velocity map.
 
-The leg has hip, thigh and calf revolute joints in a modified
-Denavit-Hartenberg arrangement with twists (0, -90 deg, 0, 0). With the
-floating base held fixed, the foot-end angular velocity depends only on
-the hip rate, the combined thigh+calf angle and the combined thigh+calf
-rate:
+The leg is one fixed kinematic chain: hip, thigh and calf revolute
+joints in a modified Denavit-Hartenberg arrangement with twists
+(0, -90 deg, 0, 0). With the floating base held fixed, the foot-end
+angular velocity depends only on the hip rate, the combined thigh+calf
+angle and the combined thigh+calf rate:
 
     wx = -dhip * sin(th_thigh + th_calf)
     wy = -dhip * cos(th_thigh + th_calf)
@@ -19,11 +19,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UnsupportedGeometryError
-
-_STANDARD_TWISTS = (0.0, -math.pi / 2, 0.0, 0.0)
-_TWIST_TOL = 1e-12
-
 
 class Frame(Enum):
     """Reference frame an angular-velocity series is expressed in."""
@@ -34,19 +29,14 @@ class Frame(Enum):
 
 @dataclass(frozen=True)
 class LegGeometry:
-    """Twist angles and joint limits of one leg.
+    """Joint limits of one leg.
 
-    Twists are in radians; the defaults describe a Go2-class leg. Joint
-    limits are closed intervals [lower, upper] in radians. The default
-    limits are absolute Go2-class ranges; experiment configs typically
+    Limits are closed intervals [lower, upper] in radians. The defaults
+    are absolute Go2-class ranges; experiment configs typically
     substitute posture-relative limits because generated calibration
     trajectories oscillate around zero.
     """
 
-    twist_hip: float = 0.0
-    twist_thigh: float = -math.pi / 2
-    twist_calf: float = 0.0
-    twist_foot: float = 0.0
     hip_limits: tuple[float, float] = (-0.84, 0.84)
     thigh_limits: tuple[float, float] = (-1.5, 3.4)
     calf_limits: tuple[float, float] = (-2.7, -0.8)
@@ -56,19 +46,6 @@ class LegGeometry:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"{name} must be a finite interval with lower < upper, got {(lo, hi)}")
-
-    @property
-    def has_standard_twists(self) -> bool:
-        twists = (self.twist_hip, self.twist_thigh, self.twist_calf, self.twist_foot)
-        return all(abs(a - b) <= _TWIST_TOL for a, b in zip(twists, _STANDARD_TWISTS))
-
-    def require_standard_twists(self):
-        if not self.has_standard_twists:
-            raise UnsupportedGeometryError(
-                "foot angular velocity is only defined for twists "
-                "(0, -pi/2, 0, 0); got "
-                f"({self.twist_hip}, {self.twist_thigh}, {self.twist_calf}, {self.twist_foot})"
-            )
 
     def limits(self, joint: str) -> tuple[float, float]:
         return getattr(self, f"{joint}_limits")
@@ -167,13 +144,13 @@ class AngularVelocitySeries:
     def __len__(self) -> int:
         return len(self.time_grid)
 
-    def uniform_dt(self, rel_tol: float = 1e-9) -> float:
-        """Grid spacing, raising if the grid is not uniform within rel_tol."""
+    def uniform_dt(self) -> float:
+        """Grid spacing, raising if the grid is not uniform to 1 part in 1e9."""
         n = len(self.time_grid)
         if n < 2:
             raise ValueError("series needs at least 2 samples for a grid spacing")
         dt = (self.time_grid[-1] - self.time_grid[0]) / (n - 1)
-        if np.max(np.abs(np.diff(self.time_grid) - dt)) > rel_tol * dt:
+        if np.max(np.abs(np.diff(self.time_grid) - dt)) > 1e-9 * dt:
             raise ValueError("series time grid is not uniform")
         return float(dt)
 
@@ -188,11 +165,11 @@ def resample(time_grid: np.ndarray, samples: np.ndarray, query: np.ndarray) -> n
 
 
 def foot_velocity(dtheta_hip: np.ndarray, theta_sum: np.ndarray, dtheta_sum: np.ndarray) -> np.ndarray:
-    """Foot angular velocity, shape (n, 3), of a standard-twist leg from plain joint arrays.
+    """Foot angular velocity, shape (n, 3), from plain joint arrays.
 
     ``theta_sum`` and ``dtheta_sum`` are the combined thigh+calf angle and
-    rate. Nothing is validated here; ``trajectory_to_foot_velocity`` is
-    the checked entry point.
+    rate. ``trajectory_to_foot_velocity`` applies it to a validated
+    ``JointTrajectory``.
     """
     return np.column_stack([
         -dtheta_hip * np.sin(theta_sum),
@@ -201,8 +178,7 @@ def foot_velocity(dtheta_hip: np.ndarray, theta_sum: np.ndarray, dtheta_sum: np.
     ])
 
 
-def trajectory_to_foot_velocity(geometry: LegGeometry, traj: JointTrajectory) -> AngularVelocitySeries:
+def trajectory_to_foot_velocity(traj: JointTrajectory) -> AngularVelocitySeries:
     """Map a joint trajectory to the foot-end angular-velocity series."""
-    geometry.require_standard_twists()
     omega = foot_velocity(traj.dtheta_hip, traj.theta_sum, traj.dtheta_sum)
     return AngularVelocitySeries(traj.time_grid, omega, Frame.FOOT_KINEMATIC)

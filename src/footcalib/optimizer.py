@@ -89,8 +89,8 @@ class BasisSpec:
             raise ValueError("coefficient arrays must be equal-length 1-d with at least one harmonic")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("coefficients must be finite")
-        if not (self.base_frequency > 0 and self.period > 0):
-            raise ValueError("base_frequency and period must be positive")
+        if not (0 < self.base_frequency < math.inf and 0 < self.period < math.inf):
+            raise ValueError("base_frequency and period must be finite and positive")
         if not 0.0 <= self.calf_share <= 1.0:
             raise ValueError(f"calf_share must be in [0, 1], got {self.calf_share}")
         object.__setattr__(self, "hip_rate_coeffs", a)
@@ -125,16 +125,16 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kappa_objective < 1.0:
-            raise ValueError("kappa_objective must be >= 1")
-        if self.max_iterations < 0:
+        if not 1.0 <= self.kappa_objective < math.inf:
+            raise ValueError("kappa_objective must be finite and >= 1")
+        if not self.max_iterations >= 0:
             raise ValueError("max_iterations must be >= 0")
         for name in ("step_size", "imu_frequency", "offset_range"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("penalty_hip", "penalty_thigh", "penalty_calf"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def penalty_weight(self, joint: str) -> float:
         return getattr(self, f"penalty_{joint}")
@@ -215,14 +215,14 @@ def sample_covariance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return a_centred.T @ b_centred / (len(a) - 1)
 
 
-def diagonality_ratio(spec: BasisSpec, imu_frequency: float, geometry: LegGeometry) -> float:
+def diagonality_ratio(spec: BasisSpec, imu_frequency: float) -> float:
     """Largest off-diagonal over largest diagonal entry of the one-period foot covariance.
 
     The odd-harmonic basis family is built so that this ratio vanishes to
     machine precision.
     """
     traj = eval_basis(spec, one_period_grid(spec, imu_frequency))
-    sigma = sample_covariance(trajectory_to_foot_velocity(geometry, traj).samples)
+    sigma = sample_covariance(trajectory_to_foot_velocity(traj).samples)
     off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
     return off / sigma.diagonal().max()
 
@@ -261,7 +261,6 @@ class LossReport:
 def _period_terms(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry):
     """Basis rows, joint arrays and foot velocity of ``spec`` over one period,
     and the joints that leave their limits: what the loss and its gradient share."""
-    geometry.require_standard_twists()
     _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.base_frequency, spec.period,
                                       config.imu_frequency)
     joints = _joint_arrays(spec, sin_ph, cos_ph)

@@ -63,7 +63,7 @@ class GroundTruth:
         r = np.asarray(self.rotation, dtype=float)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-12 or abs(np.linalg.det(r) - 1.0) > 1e-12:
+        if not (np.abs(r.T @ r - np.eye(3)).max() <= 1e-12 and abs(np.linalg.det(r) - 1.0) <= 1e-12):
             raise ValueError("rotation must be orthogonal with determinant +1 to 1e-12")
         if not math.isfinite(self.time_offset):
             raise ValueError("time_offset must be finite")
@@ -81,20 +81,23 @@ class GroundTruth:
         return matrix_to_euler_deg(self.rotation)
 
 
+# Largest |pitch| in degrees of a random mounting: the ±90 deg gimbal
+# region is left out so per-axis rotation errors stay well defined.
+MAX_PITCH_DEG = 80.0
+
+
 def random_ground_truth(rng: np.random.Generator, offset_range: float,
-                        grid_step: float | None = None,
-                        max_pitch_deg: float = 80.0) -> GroundTruth:
+                        grid_step: float | None = None) -> GroundTruth:
     """Random mounting rotation and offset for a synthetic experiment.
 
-    Rotations are uniform on SO(3) but rejection-sampled to keep the pitch
-    Euler angle away from the ±90 deg gimbal region so per-axis rotation
-    errors stay well defined. The offset is uniform in ±offset_range and
-    snapped to grid_step when given.
+    Rotations are uniform on SO(3) but rejection-sampled to |pitch| <=
+    ``MAX_PITCH_DEG``. The offset is uniform in ±offset_range and snapped
+    to grid_step when given.
     """
     while True:
         q = rng.normal(size=4)
         r = quaternion_to_matrix(q / np.linalg.norm(q))
-        if abs(matrix_to_euler_deg(r)[1]) <= max_pitch_deg:
+        if abs(matrix_to_euler_deg(r)[1]) <= MAX_PITCH_DEG:
             break
     if grid_step is not None:
         steps = int(math.floor(offset_range / grid_step + 1e-9))
@@ -117,10 +120,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.density < 0:
-            raise ValueError("density must be >= 0")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 <= self.density < math.inf:
+            raise ValueError("density must be finite and >= 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be finite and positive")
 
     @property
     def sigma_rad_s(self) -> float:
@@ -161,22 +164,19 @@ class GaitKind(Enum):
 
 @dataclass(frozen=True)
 class GaitParams:
-    """Cyclic gait profile parameters; amplitudes in rad, times in s."""
+    """Cyclic gait timing: period and duration in s, sample rate in Hz."""
 
     period: float = 1.0
     duration: float = 4.0
     sample_rate: float = 500.0
-    hip_amplitude: float | None = None
-    thigh_amplitude: float | None = None
-    calf_amplitude: float | None = None
 
     def __post_init__(self):
         for name in ("period", "duration", "sample_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
-# Default per-joint amplitudes (hip, thigh, calf) in rad. The shapes are
+# Per-joint amplitudes (hip, thigh, calf) in rad. The shapes are
 # artifact constants chosen so the walk and spin profiles barely excite
 # one velocity axis while the wave profile keeps a little more diversity,
 # reproducing the conditioning ordering wave < walk/spin, all far above
@@ -199,24 +199,19 @@ def baseline_gait(kind: GaitKind, params: GaitParams | None = None) -> JointTraj
     """Deterministic cyclic joint profile for one of the comparison gaits.
 
     Each joint follows amplitude * sin(m * w0 * t + phase) with w0 =
-    2*pi/period; the (m, phase) shape constants and default amplitudes are
+    2*pi/period; the (m, phase) shape constants and the amplitudes are
     listed in this module. Walk swings thigh and calf in quadrature with a
     small hip sway, spin is a dominant hip oscillation over near-constant
     thigh/calf, and wave is a single-joint thigh sinusoid with hip and
     calf nearly static.
     """
     params = params or GaitParams()
-    amplitudes = list(_GAIT_AMPLITUDES[kind])
-    for idx, override in enumerate((params.hip_amplitude, params.thigh_amplitude,
-                                    params.calf_amplitude)):
-        if override is not None:
-            amplitudes[idx] = override
     w0 = 2.0 * math.pi / params.period
     n = int(math.floor(params.duration * params.sample_rate + 1e-9))
     t = np.arange(n + 1) / params.sample_rate
 
     angles, rates = [], []
-    for amp, (mult, phase) in zip(amplitudes, _GAIT_SHAPES[kind]):
+    for amp, (mult, phase) in zip(_GAIT_AMPLITUDES[kind], _GAIT_SHAPES[kind]):
         w = mult * w0
         angles.append(amp * np.sin(w * t + phase))
         rates.append(amp * w * np.cos(w * t + phase))

@@ -62,7 +62,7 @@ def optimized_series(optimized_feet):
     spec = optimized_feet["FL"][0].spec
     grid = np.arange(2 * int(round(spec.period * RATE)) + 1) / RATE
     traj = eval_basis(spec, grid)
-    return trajectory_to_foot_velocity(calibration_geometry(), traj)
+    return trajectory_to_foot_velocity(traj)
 
 
 def a2i_options():
@@ -78,14 +78,13 @@ def full_matrix(tmp_path_factory):
 def test_criterion_1_basis_covariance_diagonality():
     rng = np.random.default_rng(20240501)
     config = OptimizerConfig()
-    geometry = calibration_geometry()
     started = time.perf_counter()
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 4))
         spec = initial_basis_spec(config, harmonic_count=n,
                                   seed=int(rng.integers(0, 2 ** 32)))
-        worst = max(worst, diagonality_ratio(spec, RATE, geometry))
+        worst = max(worst, diagonality_ratio(spec, RATE))
     elapsed = time.perf_counter() - started
     passed = worst <= 1e-9 and elapsed < 10.0
     report(1, "basis covariance diagonality", passed,

@@ -17,7 +17,6 @@ from footcalib import (
     RankDeficiencyError,
     baseline_gait,
     calibrate,
-    calibration_geometry,
     covariance_set,
     estimate_rotation,
     estimate_time_offset,
@@ -45,7 +44,7 @@ def foot_series():
     """Two closed periods of the hand-picked calibration motion at 500 Hz."""
     grid = np.arange(2 * int(round(GOOD_SPEC.period * RATE)) + 1) / RATE
     traj = eval_basis(GOOD_SPEC, grid)
-    return trajectory_to_foot_velocity(calibration_geometry(), traj)
+    return trajectory_to_foot_velocity(traj)
 
 
 def options(**kwargs):
@@ -244,7 +243,7 @@ class TestEstimateTimeOffset:
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1),
                                         window_samples=100)
 
-        i0, i1 = _paired_window(imu, foot_series, 0.1, 100)
+        i0, i1 = _paired_window(imu, foot_series, foot_series.uniform_dt(), 0.1, 100)
         t = foot_series.time_grid[i0:i1]
         foot = AngularVelocitySeries(t, foot_series.samples[i0:i1], Frame.FOOT_KINEMATIC)
         lags = np.arange(-50, 51)
@@ -308,10 +307,10 @@ class TestEstimateRotation:
         projected = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
         np.testing.assert_allclose(estimate_rotation(cov), projected, rtol=0, atol=1e-15)
 
-    def test_residual_minimizer_differs_on_noisy_ill_conditioned_gait(self, cal_geometry):
+    def test_residual_minimizer_differs_on_noisy_ill_conditioned_gait(self):
         # on a noisy walk the Kabsch rotation of S_FI leaves a smaller
         # residual sum ||R w_imu - w_foot||^2 than the projected map
-        foot = trajectory_to_foot_velocity(cal_geometry, baseline_gait(GaitKind.WALK))
+        foot = trajectory_to_foot_velocity(baseline_gait(GaitKind.WALK))
         truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
         imu = simulate_imu(foot, truth, NoiseModel(0.06, RATE, seed=21))
         cov = covariance_set(imu, foot)

@@ -7,7 +7,12 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from footcalib import (
+    BasisSpec,
+    GaitParams,
+    GroundTruth,
     Motion,
+    NoiseModel,
+    OffsetSearch,
     OptimizerConfig,
     default_experiment_config,
     harness,
@@ -113,6 +118,22 @@ class TestConfig:
         with pytest.raises(TypeError, match="fd_epsilon"):
             config_from_dict({"optimizer": {"fd_epsilon": 1e-6}}, output_dir=tmp_path / "out")
 
+    def test_nonstandard_twists_rejected(self, tmp_path):
+        # the foot velocity map holds for the leg's twists (0, -pi/2, 0, 0) only
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        for twists in ([0.0, -math.pi / 3, 0.0, 0.0], [0.0, -math.pi / 2, 0.0, math.nan],
+                       [0.0, -math.pi / 2, 0.0]):
+            doc["geometry"]["twists"] = twists
+            with pytest.raises(ValueError, match="twists"):
+                config_from_dict(doc)
+
+    def test_standard_legacy_twists_load(self, tmp_path):
+        config = default_experiment_config(tmp_path / "out")
+        doc = config_to_dict(config)
+        assert "twists" not in doc["geometry"]
+        doc["geometry"]["twists"] = [0.0, -math.pi / 2, 0.0, 0.0]
+        assert config_from_dict(doc).geometry == config.geometry
+
     def test_validation_errors(self, tmp_path):
         config = default_experiment_config(tmp_path / "out")
         with pytest.raises(ValueError):
@@ -123,6 +144,39 @@ class TestConfig:
         bad_truths["FL"] = replace(bad_truths["FL"], time_offset=0.5)
         with pytest.raises(ValueError):
             replace(config, truths=bad_truths)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NoiseModel(density=math.nan, sample_rate=500.0),
+    lambda: NoiseModel(density=math.inf, sample_rate=500.0),
+    lambda: NoiseModel(density=0.006, sample_rate=math.nan),
+    lambda: OptimizerConfig(kappa_objective=math.nan),
+    lambda: OptimizerConfig(kappa_objective=math.inf),
+    lambda: OptimizerConfig(max_iterations=math.nan),
+    lambda: OptimizerConfig(step_size=math.nan),
+    lambda: OptimizerConfig(step_size=math.inf),
+    lambda: OptimizerConfig(penalty_hip=math.nan),
+    lambda: OptimizerConfig(penalty_calf=math.inf),
+    lambda: OptimizerConfig(imu_frequency=math.inf),
+    lambda: OptimizerConfig(offset_range=math.nan),
+    lambda: OptimizerConfig(offset_range=math.inf),
+    lambda: config_from_dict({"noise_densities": [0.006, math.nan]}),
+    lambda: config_from_dict({"noise_densities": [math.inf]}),
+    lambda: GroundTruth(rotation=np.full((3, 3), math.nan), time_offset=0.0),
+    lambda: OffsetSearch(offset_range=math.nan),
+    lambda: GaitParams(duration=math.nan),
+    lambda: BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
+                      base_frequency=math.inf, period=2.0),
+], ids=["density-nan", "density-inf", "sample-rate-nan", "kappa-nan", "kappa-inf",
+        "max-iterations-nan", "step-nan", "step-inf", "penalty-nan", "penalty-inf",
+        "imu-frequency-inf", "offset-range-nan", "offset-range-inf", "matrix-density-nan",
+        "matrix-density-inf", "rotation-nan", "search-range-nan", "gait-duration-nan",
+        "base-frequency-inf"])
+def test_nonfinite_input_rejected(build):
+    # a NaN fails every comparison, so each check must be written to pass
+    # only finite values
+    with pytest.raises(ValueError):
+        build()
 
 
 def small_config(out_dir, motions=(Motion.A2I, Motion.WALK), densities=(0.006,),

@@ -9,14 +9,13 @@ from footcalib import (
     Frame,
     JointTrajectory,
     LegGeometry,
-    UnsupportedGeometryError,
     eval_basis,
     trajectory_to_foot_velocity,
 )
 
 
 def foot_angular_velocity(theta_thigh_plus_calf, dtheta_hip, dtheta_thigh_plus_calf):
-    """Scalar oracle of the standard-twist foot velocity map for one joint state."""
+    """Scalar oracle of the foot velocity map for one joint state."""
     return np.array([
         -dtheta_hip * math.sin(theta_thigh_plus_calf),
         -dtheta_hip * math.cos(theta_thigh_plus_calf),
@@ -44,28 +43,23 @@ class TestFootAngularVelocity:
         omega = foot_angular_velocity(theta_sum, d_hip, d_sum)
         np.testing.assert_allclose(omega, expected, atol=1e-15)
 
-    def test_nonstandard_twists_rejected(self):
-        geometry = LegGeometry(twist_thigh=-math.pi / 3)
-        with pytest.raises(UnsupportedGeometryError):
-            trajectory_to_foot_velocity(geometry, constant_trajectory(10))
-
 
 class TestTrajectoryToFootVelocity:
-    def test_zero_trajectory_gives_zero_series(self, go2_geometry):
-        series = trajectory_to_foot_velocity(go2_geometry, constant_trajectory(100))
+    def test_zero_trajectory_gives_zero_series(self):
+        series = trajectory_to_foot_velocity(constant_trajectory(100))
         assert len(series) == 100
         np.testing.assert_array_equal(series.samples, np.zeros((100, 3)))
 
-    def test_emits_kinematic_frame(self, go2_geometry):
-        series = trajectory_to_foot_velocity(go2_geometry, constant_trajectory(10))
+    def test_emits_kinematic_frame(self):
+        series = trajectory_to_foot_velocity(constant_trajectory(10))
         assert series.frame is Frame.FOOT_KINEMATIC
 
-    def test_matches_scalar_operation_per_sample(self, go2_geometry):
+    def test_matches_scalar_operation_per_sample(self):
         rng = np.random.default_rng(11)
         n = 10
         t = np.arange(n) / 100.0
         traj = make_trajectory(t, *(rng.uniform(-1, 1, n) for _ in range(6)))
-        series = trajectory_to_foot_velocity(go2_geometry, traj)
+        series = trajectory_to_foot_velocity(traj)
         for i in range(n):
             expected = foot_angular_velocity(
                 traj.theta_thigh[i] + traj.theta_calf[i],
@@ -74,25 +68,25 @@ class TestTrajectoryToFootVelocity:
             )
             np.testing.assert_array_equal(series.samples[i], expected)
 
-    def test_single_harmonic_period_means_vanish(self, go2_geometry):
+    def test_single_harmonic_period_means_vanish(self):
         # over one exact period the y and z component means cancel discretely
         rate = 500.0
         spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                          base_frequency=math.pi, period=2.0)
         n = int(round(spec.period * rate))
         traj = eval_basis(spec, np.arange(n) / rate)
-        series = trajectory_to_foot_velocity(go2_geometry, traj)
+        series = trajectory_to_foot_velocity(traj)
         tol = 10 * np.finfo(float).eps * n
         assert abs(series.samples[:, 1].mean()) <= tol
         assert abs(series.samples[:, 2].mean()) <= tol
 
-    def test_xy_pythagorean_identity(self, go2_geometry):
+    def test_xy_pythagorean_identity(self):
         # wx^2 + wy^2 == dtheta_hip^2 for every sample
         rng = np.random.default_rng(5)
         n = 200
         t = np.arange(n) / 500.0
         traj = make_trajectory(t, *(rng.uniform(-2, 2, n) for _ in range(6)))
-        series = trajectory_to_foot_velocity(go2_geometry, traj)
+        series = trajectory_to_foot_velocity(traj)
         lhs = series.samples[:, 0] ** 2 + series.samples[:, 1] ** 2
         rhs = traj.dtheta_hip ** 2
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)

@@ -44,7 +44,7 @@ def fl_a2i_series():
     result = optimize(initial_basis_spec(config, seed=_child_seed(config.seed, 1, 0, 1, 0)),
                       config, calibration_geometry())
     grid = np.arange(2 * int(round(result.spec.period * RATE)) + 1) / RATE
-    return trajectory_to_foot_velocity(calibration_geometry(), eval_basis(result.spec, grid))
+    return trajectory_to_foot_velocity(eval_basis(result.spec, grid))
 
 
 @pytest.mark.parametrize("index, density", [(0, 0.06), (1, 0.3)])
@@ -62,7 +62,8 @@ def test_rotation_error_at_noise_floor(fl_a2i_series, index, density):
     errors = np.array(errors)
     td_errors = np.array(td_errors)
 
-    i0, i1 = _paired_window(fl_a2i_series, fl_a2i_series, options.offset_range, WINDOW)
+    i0, i1 = _paired_window(fl_a2i_series, fl_a2i_series, 1 / RATE,
+                            options.offset_range, WINDOW)
     window = fl_a2i_series.samples[i0:i1]
     s = np.diag(sample_covariance(window))
     sigma = NoiseModel(density, RATE).sigma_rad_s

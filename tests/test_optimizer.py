@@ -122,12 +122,12 @@ class TestAutoCovariance:
         sigma = sample_covariance(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
         np.testing.assert_allclose(sigma, np.diag([2.0, 0.0, 0.0]), atol=1e-15)
 
-    def test_single_harmonic_period_is_diagonal(self, go2_geometry):
+    def test_single_harmonic_period_is_diagonal(self):
         rate = 500.0
         spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                          base_frequency=math.pi, period=2.0)
         traj = eval_basis(spec, one_period_grid(spec, rate))
-        series = trajectory_to_foot_velocity(go2_geometry, traj)
+        series = trajectory_to_foot_velocity(traj)
         sigma = sample_covariance(series.samples)
         off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
         assert off <= 1e-9 * sigma.diagonal().max()
@@ -191,7 +191,7 @@ class TestTrajectoryLoss:
                          base_frequency=math.pi, period=2.0)
         report = trajectory_loss(spec, config, cal_geometry)
         traj = eval_basis(spec, one_period_grid(spec, config.imu_frequency))
-        series = trajectory_to_foot_velocity(cal_geometry, traj)
+        series = trajectory_to_foot_velocity(traj)
         sigma = brute_force_pair_covariance(series.samples, series.samples)
         eigenvalues = np.linalg.eigvalsh(sigma)
         assert report.loss == pytest.approx(eigenvalues[-1] / eigenvalues[0], rel=1e-9)
@@ -201,7 +201,7 @@ class TestTrajectoryLoss:
         for seed in range(5):
             spec = initial_basis_spec(config, seed=seed, calf_share=0.3)
             traj = eval_basis(spec, one_period_grid(spec, config.imu_frequency))
-            omega = trajectory_to_foot_velocity(cal_geometry, traj).samples
+            omega = trajectory_to_foot_velocity(traj).samples
             report = trajectory_loss(spec, config, cal_geometry)
             assert report.kappa == condition_number(sample_covariance(omega))
 

@@ -191,7 +191,7 @@ class TestSimulateImu:
 
 class TestBaselineGait:
     def test_wave_is_single_joint(self):
-        traj = baseline_gait(GaitKind.WAVE, GaitParams(thigh_amplitude=0.4))
+        traj = baseline_gait(GaitKind.WAVE, GaitParams())
         assert np.ptp(traj.theta_hip) < 0.02
         assert np.ptp(traj.theta_calf) < 0.02
         assert np.ptp(traj.theta_thigh) == pytest.approx(0.8, abs=0.01)
@@ -207,9 +207,9 @@ class TestBaselineGait:
             np.testing.assert_allclose(values[shift:], values[:len(values) - shift],
                                        atol=1e-12)
 
-    def test_walk_condition_number_is_large(self, cal_geometry):
+    def test_walk_condition_number_is_large(self):
         traj = baseline_gait(GaitKind.WALK)
-        sigma = sample_covariance(trajectory_to_foot_velocity(cal_geometry, traj).samples)
+        sigma = sample_covariance(trajectory_to_foot_velocity(traj).samples)
         assert condition_number(sigma) > 50.0
 
     def test_invalid_params_rejected(self):
