@@ -95,6 +95,11 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not all(0 <= d < math.inf for d in self.noise_densities):
             raise ValueError("noise densities must be finite and >= 0")
+        # a shared density code or a repeated seed would give two cells one noise seed
+        if len({_density_code(d) for d in self.noise_densities}) < len(self.noise_densities):
+            raise ValueError("noise densities must differ when rounded to 1e-9")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct")
         for foot, truth in self.truths.items():
             if abs(truth.time_offset) > self.optimizer.offset_range:
                 raise ValueError(
@@ -353,7 +358,7 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                         write_timing(row)
                         if scan is not None:
                             fio.write_offset_scan(
-                                out / "scans" / f"{foot}_{motion.value}_{density:g}_{seed}.csv",
+                                out / "scans" / f"{foot}_{motion.value}_{float(density)!r}_{seed}.csv",
                                 scan)
 
     summary = _summarize(rows, motions, densities)

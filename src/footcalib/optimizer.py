@@ -19,18 +19,19 @@ basis table that is built once per schedule; input is validated where it
 enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call. The
 descent follows the analytic gradient of that loss (the derivative of the
 covariance's extreme eigenvalues, plus the joint-limit penalty terms) and
-takes a step only when it strictly lowers the loss.
+takes a step only when it strictly lowers the loss. Each candidate is
+evaluated once: the gradient reads the evaluation its loss report carries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kinematics import JointTrajectory, LegGeometry, foot_velocity, trajectory_to_foot_velocity
+from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 
 JOINTS = ("hip", "thigh", "calf")
 
@@ -238,53 +239,66 @@ def condition_number(matrix) -> float:
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite values")
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        return math.inf
-    if np.abs(m - m.T).max() > 1e-9 * scale:
+    if np.abs(m - m.T).max() > 1e-9 * np.abs(m).max():
         raise ValueError("matrix is asymmetric beyond 1e-9 relative tolerance")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] < 1e-15 * s[0]:
+    return _kappa(m)
+
+
+def _kappa(sigma: np.ndarray) -> float:
+    """``condition_number`` of a covariance built in this module, which is
+    symmetric by construction, without the checks on its input."""
+    s = np.linalg.svd(sigma, compute_uv=False)
+    if s[0] == 0.0 or s[-1] < 1e-15 * s[0]:
         return math.inf
     return float(s[0] / s[-1])
 
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss value: condition number plus active joint-limit penalties."""
+    """Loss value: condition number plus active joint-limit penalties, and
+    the evaluation of the spec that ``loss_gradient`` reads (``_period_terms``)."""
 
     loss: float
     kappa: float
     in_bounds: bool
+    _terms: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _period_terms(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry):
-    """Basis rows, joint arrays and foot velocity of ``spec`` over one period,
-    and the joints that leave their limits: what the loss and its gradient share."""
+    """What the loss and its gradient share over one period of ``spec``: the
+    basis rows, the joint arrays, sin and cos of the thigh+calf angle, the
+    centred foot velocity, its covariance and the joints outside their limits."""
     _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.base_frequency, spec.period,
                                       config.imu_frequency)
     joints = _joint_arrays(spec, sin_ph, cos_ph)
     theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf = joints
     # the same float operations, in the same order, as eval_basis followed
-    # by trajectory_to_foot_velocity, so kappa equals the checked path's
-    omega = foot_velocity(dtheta_hip, theta_thigh + theta_calf, dtheta_thigh + dtheta_calf)
+    # by trajectory_to_foot_velocity (foot_velocity) and sample_covariance,
+    # so kappa equals the checked path's
+    phi = theta_thigh + theta_calf
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    omega = np.column_stack([-dtheta_hip * sin_phi, -dtheta_hip * cos_phi,
+                             dtheta_thigh + dtheta_calf])
+    centred = omega - omega.mean(axis=0)
+    sigma = centred.T @ centred / (len(omega) - 1)
     outside = []
     for joint, angles in zip(JOINTS, joints[:3]):
         lower, upper = geometry.limits(joint)
         if not (angles.min() >= lower and angles.max() <= upper):
             outside.append((joint, angles))
-    return sin_ph, cos_ph, joints, omega, outside
+    return sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma, outside
 
 
 def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> LossReport:
     """Condition number of the foot velocity covariance over one period,
     plus weight * motion-range penalties for joints that leave their limits."""
-    *_, omega, outside = _period_terms(spec, config, geometry)
-    kappa = condition_number(sample_covariance(omega))
+    terms = _period_terms(spec, config, geometry)
+    sigma, outside = terms[-2:]
+    kappa = _kappa(sigma)
     penalty = 0.0
     for joint, angles in outside:
         penalty += config.penalty_weight(joint) * float(angles.max() - angles.min())
-    return LossReport(loss=kappa + penalty, kappa=kappa, in_bounds=not outside)
+    return LossReport(loss=kappa + penalty, kappa=kappa, in_bounds=not outside, _terms=terms)
 
 
 @dataclass(frozen=True)
@@ -300,8 +314,12 @@ class OptimizeResult:
     feasible: bool    # returned spec keeps all joints in bounds
 
 
-def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> np.ndarray:
+def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry,
+                  report: LossReport | None = None) -> np.ndarray:
     """Analytic gradient of the loss over the stacked (hip, pitch) amplitudes.
+
+    Pass ``report = trajectory_loss(spec, config, geometry)`` when it is at
+    hand, and the gradient reads its evaluation instead of evaluating again.
 
     With u_max and u_min the extreme unit eigenvectors of the covariance
     Sigma = w_c^T w_c / (N-1) of the centred foot velocity w_c, each
@@ -315,18 +333,17 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
     d theta at its argmin), a subgradient where either extreme is tied.
     Where kappa is infinite the gradient is NaN.
     """
-    sin_ph, cos_ph, joints, omega, outside = _period_terms(spec, config, geometry)
+    terms = _period_terms(spec, config, geometry) if report is None else report._terms
+    sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma, outside = terms
     n = spec.harmonic_count
     w = spec.angular_frequencies
-    centred = omega - omega.mean(axis=0)
     # Sigma is symmetric PSD, so its singular vectors are its eigenvectors
     # and its singular values (those condition_number uses) its eigenvalues
-    vec, lam, _ = np.linalg.svd(centred.T @ centred / (len(omega) - 1))
+    vec, lam, _ = np.linalg.svd(sigma)
     lam_max, lam_min = lam[0], lam[-1]
     if not lam_min > 1e-15 * lam_max:
         return np.full(2 * n, math.nan)
-    phi = joints[1] + joints[2]
-    sin_phi, cos_phi, dtheta_hip = np.sin(phi), np.cos(phi), joints[3]
+    dtheta_hip = joints[3]
 
     def eigenvalue_gradient(u: np.ndarray) -> np.ndarray:
         """d(lambda)/d(A, B) of the eigenvalue with unit eigenvector ``u``."""
@@ -335,7 +352,7 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
         # dw/dB_k u that do not depend on k
         hip_part = proj * -(sin_phi * u[0] + cos_phi * u[1])
         phi_part = proj * dtheta_hip * (sin_phi * u[1] - cos_phi * u[0])
-        return (2.0 / (len(omega) - 1)) * np.concatenate(
+        return (2.0 / (len(centred) - 1)) * np.concatenate(
             [sin_ph @ hip_part, (sin_ph @ phi_part) / w + (cos_ph @ proj) * u[2]])
 
     grad = (eigenvalue_gradient(vec[:, 0]) * lam_min
@@ -357,7 +374,8 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
 
     Per iteration: evaluate the loss, stop early when the condition number
     is below the objective with every joint in bounds, otherwise take a
-    step against the analytic gradient (``loss_gradient``). A candidate is
+    step against the analytic gradient (``loss_gradient``), which reads the
+    evaluation carried by the current iterate's loss report. A candidate is
     accepted only when its loss is finite and strictly lower than the
     current loss; otherwise the step size is halved for that iteration,
     and the run stops when no step down to 1e-15 of the configured size
@@ -382,7 +400,7 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        grad = loss_gradient(spec, config, geometry)
+        grad = loss_gradient(spec, config, geometry, report)
         if not np.all(np.isfinite(grad)):
             break  # no finite descent direction
 

@@ -145,6 +145,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(config, truths=bad_truths)
 
+    @pytest.mark.parametrize("densities, seeds", [
+        ((0.006, 0.0060000000001), (0, 1)),
+        ((0.006, 0.0060000000004), (0, 1)),
+        ((0.006, 0.03, 0.006), (0, 1)),
+        ((0.006,), (0, 1, 0)),
+    ], ids=["density-1e-10", "density-4e-10", "density-repeated", "seed-repeated"])
+    def test_shared_noise_seeds_rejected(self, tmp_path, densities, seeds):
+        # two cells whose densities round to one density code, or that repeat
+        # a seed, would draw the same noise
+        config = default_experiment_config(tmp_path / "out")
+        with pytest.raises(ValueError):
+            replace(config, noise_densities=densities, seeds=seeds)
+        with pytest.raises(ValueError):
+            config_from_dict({"noise_densities": list(densities), "seeds": list(seeds)})
+
 
 @pytest.mark.parametrize("build", [
     lambda: NoiseModel(density=math.nan, sample_rate=500.0),
@@ -230,6 +245,15 @@ class TestRunMatrix:
         assert (out / "timing.csv").exists()
         scans = list((out / "scans").glob("*.csv"))
         assert len(scans) == len([r for r in result.rows if not r.error])
+
+    def test_close_densities_get_their_own_scan_files(self, tmp_path):
+        # both densities print as 0.00600012 with six significant digits
+        config = small_config(tmp_path / "close", motions=(Motion.WALK,),
+                              densities=(0.006000123, 0.006000124))
+        rows = run_matrix(config).rows
+        scans = list((config.output_dir / "scans").glob("*.csv"))
+        assert len(rows) == 8
+        assert len(scans) == len([r for r in rows if not r.error]) == 8
 
     def test_summary_matches_recomputation_from_rows(self, small_run):
         config, result = small_run

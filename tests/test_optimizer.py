@@ -44,6 +44,45 @@ def fd_gradient(spec, config, geometry, epsilon=1e-6):
     return grad
 
 
+def reference_descent(initial, config, geometry):
+    """The descent loop of ``optimize`` over the public loss and gradient,
+    each evaluating its spec on its own: the oracle for ``optimize``, whose
+    gradient reads the evaluation carried by the accepted candidate's report.
+    Returns (best params, kappa history, loss history, iterations)."""
+    n = initial.harmonic_count
+    params = np.concatenate([initial.hip_rate_coeffs, initial.pitch_rate_coeffs])
+
+    def spec_at(p):
+        return replace(initial, hip_rate_coeffs=p[:n], pitch_rate_coeffs=p[n:])
+
+    spec, report = initial, trajectory_loss(initial, config, geometry)
+    best, best_params = report, params
+    kappas, losses = [report.kappa], [report.loss]
+    converged = report.kappa < config.kappa_objective and report.in_bounds
+    iterations = 0
+    while not converged and iterations < config.max_iterations:
+        iterations += 1
+        grad = loss_gradient(spec, config, geometry)
+        if not np.all(np.isfinite(grad)):
+            break
+        step = config.step_size
+        while step >= 1e-15 * config.step_size:
+            candidate = params - step * grad
+            cand_report = trajectory_loss(spec_at(candidate), config, geometry)
+            if math.isfinite(cand_report.loss) and cand_report.loss < report.loss:
+                params, spec, report = candidate, spec_at(candidate), cand_report
+                break
+            step *= 0.5
+        else:
+            break
+        kappas.append(report.kappa)
+        losses.append(report.loss)
+        if (report.in_bounds, -report.loss) > (best.in_bounds, -best.loss):
+            best, best_params = report, params
+        converged = report.kappa < config.kappa_objective and report.in_bounds
+    return best_params, np.asarray(kappas), np.asarray(losses), iterations
+
+
 class TestDeriveSchedule:
     def test_reference_schedule(self):
         sched = derive_schedule(500.0, 0.25)
@@ -241,6 +280,9 @@ class TestLossGradient:
             oracle = fd_gradient(spec, config, cal_geometry)
             analytic = loss_gradient(spec, config, cal_geometry)
             assert np.linalg.norm(analytic - oracle) <= 1e-6 * np.linalg.norm(oracle)
+            # the gradient read from the report's evaluation is the
+            # standalone one, bit for bit
+            assert np.array_equal(loss_gradient(spec, config, cal_geometry, report), analytic)
         assert active == {"hip", "thigh", "calf"}
         assert counts == {1, 2, 3, 4}
 
@@ -309,6 +351,29 @@ class TestOptimize:
         result = optimize(initial_basis_spec(config), config, cal_geometry)
         assert np.all(np.isfinite(result.spec.hip_rate_coeffs))
         assert np.all(np.isfinite(result.spec.pitch_rate_coeffs))
+
+
+class TestFusedDescent:
+    """``optimize`` reuses each accepted candidate's evaluation for its
+    gradient; its iterates equal the reference loop's bit for bit."""
+
+    @pytest.mark.parametrize("foot, seed, calf_share", [
+        ("FL", 7, 0.0), ("FR", 0, 0.0), ("RR", 13, 0.0), ("RL", 2, 0.3),
+    ], ids=["FL-7-hip-limit", "FR-0", "RR-13", "RL-2-calf-share"])
+    def test_matches_reference_loop(self, foot, seed, calf_share):
+        config = harness.default_experiment_config("unused").optimizer
+        init_seed = harness._child_seed(config.seed, 1, harness._foot_code(foot),
+                                        harness._MOTION_CODE[Motion.A2I], seed)
+        initial = initial_basis_spec(config, seed=init_seed, calf_share=calf_share)
+        geometry = harness.calibration_geometry()
+        params, kappas, losses, iterations = reference_descent(initial, config, geometry)
+        result = optimize(initial, config, geometry)
+        assert result.iterations == iterations > 0
+        assert np.array_equal(result.kappa_history, kappas)
+        assert np.array_equal(result.loss_history, losses)
+        n = initial.harmonic_count
+        assert np.array_equal(result.spec.hip_rate_coeffs, params[:n])
+        assert np.array_equal(result.spec.pitch_rate_coeffs, params[n:])
 
 
 def _single_harmonic_kappa(a, b, config, geometry):
