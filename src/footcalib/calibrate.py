@@ -33,13 +33,18 @@ def is_proper_rotation(matrix: np.ndarray) -> bool:
 
 
 def _singular(sigma: np.ndarray) -> np.ndarray:
-    """Per stacked 3x3 matrix: smallest singular value below 1e-12 of the largest, or all zero."""
-    s = np.linalg.svd(sigma, compute_uv=False)
-    return (s[..., 0] == 0.0) | (s[..., -1] < 1e-12 * s[..., 0])
+    """Per stacked symmetric 3x3 matrix: smallest singular value below 1e-12 of the largest, or all zero.
+
+    The singular values of a symmetric matrix are its absolute eigenvalues,
+    which ``eigvalsh`` computes more cheaply than an SVD.
+    """
+    s = np.abs(np.linalg.eigvalsh(sigma))
+    largest = s.max(axis=-1)
+    return (largest == 0.0) | (s.min(axis=-1) < 1e-12 * largest)
 
 
 def require_invertible(sigma: np.ndarray, name: str) -> None:
-    """Raise if an auto-covariance is singular at the 1e-12 relative SVD floor."""
+    """Raise if an auto-covariance is singular at the 1e-12 relative singular-value floor."""
     if _singular(sigma):
         raise IllConditionedError(
             f"{name} is singular at the 1e-12 relative floor; "

@@ -101,6 +101,10 @@ def _cmd_optimize(args) -> int:
     io.write_trajectory(args.out / "trajectory.csv", eval_basis(result.spec, grid))
     print(f"kappa={result.kappa_final:.6g} iterations={result.iterations} "
           f"converged={result.converged} -> {args.out / 'trajectory.csv'}")
+    if not result.converged:
+        print(f"warning: the optimizer stopped unconverged at kappa {result.kappa_final:.6g} "
+              f"(objective {config.kappa_objective:g}, all joints in limits: {result.feasible})",
+              file=sys.stderr)
     return 0
 
 

@@ -3,9 +3,10 @@
 Joint rates are built from a harmonic family: the hip rate is a sine
 series and the combined thigh+calf rate a cosine series, both over odd
 multiples of a base frequency. Over an integer number of periods this
-family makes the foot angular-velocity covariance diagonal, and gradient
-descent on the harmonic amplitudes drives its condition number toward 1
-while joint-limit penalties keep the motion executable.
+family makes the foot angular-velocity covariance diagonal, and a
+projected quasi-Newton descent on the harmonic amplitudes drives its
+condition number toward 1 while the joint limits keep the motion
+executable.
 
 Odd multiples matter: a family over consecutive integer multiples couples
 the x and z velocity components (the time average of wx*wz picks up
@@ -17,10 +18,16 @@ machine precision.
 The loss inside the descent runs on plain arrays over a read-only sin/cos
 basis table that is built once per schedule; input is validated where it
 enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call. The
-descent follows the analytic gradient of that loss (the derivative of the
-covariance's extreme eigenvalues, plus the joint-limit penalty terms) and
-takes a step only when it strictly lowers the loss. Each candidate is
-evaluated once: the gradient reads the evaluation its loss report carries.
+descent (``optimize``) builds BFGS inverse-Hessian updates from the
+analytic gradient of that loss (the derivative of the covariance's
+extreme eigenvalues, plus the joint-limit penalty terms). Every joint
+angle is linear in the amplitudes, so a limit that an extreme sample
+reaches is a linear constraint: the search direction drops its component
+along the outward normal of each active limit, and from inside the limits
+only candidates that stay inside are accepted. A step is taken only when
+it strictly lowers the loss. Each candidate is evaluated once: the
+gradient and the limit normals read the evaluation its loss report
+carries.
 """
 
 from __future__ import annotations
@@ -113,7 +120,11 @@ def _angular_frequencies(harmonic_count: int, base_frequency: float) -> np.ndarr
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the gradient-descent trajectory generator."""
+    """Knobs of the projected quasi-Newton trajectory generator.
+
+    ``step_size`` scales the initial inverse Hessian, H0 = step_size * I,
+    and is the first step of the gradient fallback.
+    """
 
     kappa_objective: float = 1.2
     max_iterations: int = 5000
@@ -303,7 +314,7 @@ def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeome
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best trajectory found by the gradient descent."""
+    """Last, and best, iterate of the descent."""
 
     spec: BasisSpec
     kappa_history: np.ndarray
@@ -335,14 +346,13 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
     """
     terms = _period_terms(spec, config, geometry) if report is None else report._terms
     sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma, outside = terms
-    n = spec.harmonic_count
     w = spec.angular_frequencies
     # Sigma is symmetric PSD, so its singular vectors are its eigenvectors
     # and its singular values (those condition_number uses) its eigenvalues
     vec, lam, _ = np.linalg.svd(sigma)
     lam_max, lam_min = lam[0], lam[-1]
     if not lam_min > 1e-15 * lam_max:
-        return np.full(2 * n, math.nan)
+        return np.full(2 * spec.harmonic_count, math.nan)
     dtheta_hip = joints[3]
 
     def eigenvalue_gradient(u: np.ndarray) -> np.ndarray:
@@ -357,31 +367,111 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
 
     grad = (eigenvalue_gradient(vec[:, 0]) * lam_min
             - lam_max * eigenvalue_gradient(vec[:, -1])) / lam_min ** 2
-    rho = spec.calf_share
     for joint, angles in outside:
-        high, low = angles.argmax(), angles.argmin()
-        weight = config.penalty_weight(joint) / w
-        if joint == "hip":    # theta_hip = -sum A_k/w_k cos(w_k t)
-            grad[:n] -= weight * (cos_ph[:, high] - cos_ph[:, low])
-        else:                 # thigh and calf split sum B_k/w_k sin(w_k t)
-            share = rho if joint == "calf" else 1.0 - rho
-            grad[n:] += share * weight * (sin_ph[:, high] - sin_ph[:, low])
+        grad += config.penalty_weight(joint) * (
+            _angle_gradient(spec, terms, joint, angles.argmax())
+            - _angle_gradient(spec, terms, joint, angles.argmin()))
     return grad
 
 
-def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> OptimizeResult:
-    """Run gradient descent on the harmonic amplitudes.
+def _angle_gradient(spec: BasisSpec, terms: tuple, joint: str, sample: int) -> np.ndarray:
+    """d(theta_joint at ``sample``)/d(A, B): the normal of a joint limit that
+    the angle at that sample reaches, since every angle is linear in (A, B)."""
+    sin_ph, cos_ph = terms[:2]
+    w = spec.angular_frequencies
+    zeros = np.zeros(spec.harmonic_count)
+    if joint == "hip":    # theta_hip = -sum A_k/w_k cos(w_k t)
+        return np.concatenate([-cos_ph[:, sample] / w, zeros])
+    # thigh and calf split sum B_k/w_k sin(w_k t)
+    share = spec.calf_share if joint == "calf" else 1.0 - spec.calf_share
+    return np.concatenate([zeros, share * sin_ph[:, sample] / w])
 
-    Per iteration: evaluate the loss, stop early when the condition number
-    is below the objective with every joint in bounds, otherwise take a
-    step against the analytic gradient (``loss_gradient``), which reads the
-    evaluation carried by the current iterate's loss report. A candidate is
-    accepted only when its loss is finite and strictly lower than the
-    current loss; otherwise the step size is halved for that iteration,
-    and the run stops when no step down to 1e-15 of the configured size
-    lowers the loss. The step size resets after each accepted step, so
-    ``loss_history`` strictly decreases. Returns the best iterate seen,
-    preferring in-bounds specs and breaking ties by loss.
+
+_ACTIVE_MARGIN = 1e-3               # rad: a joint this close to a limit has that limit active
+_ARMIJO_C1 = 1e-4                   # sufficient-decrease constant of the quasi-Newton step
+_MIN_QUASI_NEWTON_STEP = 2.0 ** -6  # below this the quasi-Newton step gives way to the gradient
+
+
+def _outward_normals(spec: BasisSpec, geometry: LegGeometry, terms: tuple) -> list[np.ndarray]:
+    """Outward normals of the active joint-limit constraints, at most one per
+    joint: the limit of an in-limits joint whose extreme angle is within
+    ``_ACTIVE_MARGIN`` of it, or the nearer limit when both are."""
+    normals = []
+    for joint, angles in zip(JOINTS, terms[2][:3]):
+        lower, upper = geometry.limits(joint)
+        high, low = angles.argmax(), angles.argmin()
+        upper_slack, lower_slack = upper - angles[high], angles[low] - lower
+        if not (upper_slack >= 0.0 and lower_slack >= 0.0):
+            continue  # outside its limits: the penalty term acts instead
+        if upper_slack <= min(lower_slack, _ACTIVE_MARGIN):
+            normals.append(_angle_gradient(spec, terms, joint, high))
+        elif lower_slack <= _ACTIVE_MARGIN:
+            normals.append(-_angle_gradient(spec, terms, joint, low))
+    return normals
+
+
+def _project(direction: np.ndarray, normals: list[np.ndarray]) -> np.ndarray:
+    """``direction`` without its components along the outward normals it
+    points along (gradient projection; Rosen, J. SIAM 8, 1960).
+
+    Gram-Schmidt orthonormalizes those normals; one that is zero or already
+    in the span of the others (the thigh and calf normals are parallel)
+    adds nothing.
+    """
+    basis = []
+    for normal in normals:
+        if not direction @ normal > 0.0:
+            continue
+        v = normal
+        for q in basis:
+            v = v - (v @ q) * q
+        norm = math.sqrt(v @ v)
+        if norm > 1e-12 * math.sqrt(normal @ normal):
+            basis.append(v / norm)
+    for q in basis:
+        direction = direction - (direction @ q) * q
+    return direction
+
+
+def _bfgs_update(inverse_hessian: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of the inverse Hessian for the step ``s`` and gradient
+    change ``y`` (Nocedal & Wright, Numerical Optimization, eq. 6.17);
+    unchanged when the pair shows no positive curvature."""
+    sy = s @ y
+    if not sy > 0.0:
+        return inverse_hessian
+    hy = inverse_hessian @ y
+    return (inverse_hessian + ((sy + y @ hy) / sy ** 2) * np.outer(s, s)
+            - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+
+
+def _halvings(first: float, floor: float):
+    """first, first/2, first/4, ... while at least ``floor`` times first."""
+    step = first
+    while step >= floor * first:
+        yield step
+        step *= 0.5
+
+
+def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> OptimizeResult:
+    """Run projected BFGS descent on the harmonic amplitudes.
+
+    Per iteration: stop when the condition number is below the objective
+    with every joint in bounds; otherwise take the analytic gradient
+    (``loss_gradient``), which reads the evaluation carried by the current
+    iterate's loss report, and pair it with the previous gradient to update
+    the inverse Hessian H, which starts as ``step_size`` times the identity.
+    The quasi-Newton direction -H g loses its components along the outward
+    normals of the active joint limits (``_outward_normals``) and is tried
+    at unit step, halving to 2^-6 until the Armijo condition holds. When no
+    such step is accepted, H resets and the iteration falls back to the
+    projected gradient step ``step_size`` * -g, halving to 1e-15 of it, as
+    plain gradient descent. A candidate is accepted only when its loss is
+    finite and strictly lower than the current loss, and, from an iterate
+    inside the limits, only when it stays inside them; the run stops when
+    neither step is accepted. So ``loss_history`` strictly decreases, no
+    iterate leaves the limits once inside them, and the last iterate is the
+    best one.
     """
     n = initial.harmonic_count
     params = np.concatenate([initial.hip_rate_coeffs, initial.pitch_rate_coeffs])
@@ -389,48 +479,59 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
     def spec_at(p: np.ndarray) -> BasisSpec:
         return replace(initial, hip_rate_coeffs=p[:n], pitch_rate_coeffs=p[n:])
 
-    best_params = params
+    def line_search(direction: np.ndarray, steps, slope: float):
+        """First accepted (params, spec, report) along ``direction``, or None.
+        A zero ``slope`` leaves only the strict-decrease test."""
+        for step in steps:
+            candidate = params + step * direction
+            cand_spec = spec_at(candidate)
+            cand_report = trajectory_loss(cand_spec, config, geometry)
+            if (math.isfinite(cand_report.loss) and cand_report.loss < report.loss
+                    and cand_report.loss <= report.loss + _ARMIJO_C1 * step * slope
+                    and (cand_report.in_bounds or not report.in_bounds)):
+                return candidate, cand_spec, cand_report
+        return None
+
     spec = initial
     report = trajectory_loss(spec, config, geometry)
-    best = report
     kappa_history = [report.kappa]
     loss_history = [report.loss]
     converged = report.kappa < config.kappa_objective and report.in_bounds
     iterations = 0
+    initial_hessian = config.step_size * np.eye(2 * n)
+    inverse_hessian = initial_hessian
+    previous = None  # (params, gradient) of the previous iterate
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
         grad = loss_gradient(spec, config, geometry, report)
         if not np.all(np.isfinite(grad)):
             break  # no finite descent direction
+        if previous is not None:
+            inverse_hessian = _bfgs_update(inverse_hessian, params - previous[0], grad - previous[1])
+        previous = params, grad
+        normals = _outward_normals(spec, geometry, report._terms)
 
-        step = config.step_size
-        moved = False
-        while step >= 1e-15 * config.step_size:
-            candidate = params - step * grad
-            cand_spec = spec_at(candidate)
-            cand_report = trajectory_loss(cand_spec, config, geometry)
-            if math.isfinite(cand_report.loss) and cand_report.loss < report.loss:
-                params, spec, report = candidate, cand_spec, cand_report
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
+        direction = _project(-(inverse_hessian @ grad), normals)
+        accepted = line_search(direction, _halvings(1.0, _MIN_QUASI_NEWTON_STEP), grad @ direction)
+        if accepted is None:
+            inverse_hessian = initial_hessian
+            accepted = line_search(_project(-grad, normals),
+                                   _halvings(config.step_size, 1e-15), 0.0)
+        if accepted is None:
             break  # no descent direction left at any step size
+        params, spec, report = accepted
 
         kappa_history.append(report.kappa)
         loss_history.append(report.loss)
-        if (report.in_bounds, -report.loss) > (best.in_bounds, -best.loss):
-            best, best_params = report, params
-        if report.kappa < config.kappa_objective and report.in_bounds:
-            converged = True
+        converged = report.kappa < config.kappa_objective and report.in_bounds
 
     return OptimizeResult(
-        spec=spec_at(best_params),
+        spec=spec,
         kappa_history=np.asarray(kappa_history),
         loss_history=np.asarray(loss_history),
-        kappa_final=best.kappa,
+        kappa_final=report.kappa,
         iterations=iterations,
         converged=converged,
-        feasible=best.in_bounds,
+        feasible=report.in_bounds,
     )

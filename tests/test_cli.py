@@ -56,6 +56,26 @@ class TestPipeline:
         assert report["scan"]
 
 
+class TestOptimizeCommand:
+    def test_narrow_offset_range_converges(self, tmp_path, capsys):
+        # at --t-r 0.05 the start lies inside the limits at kappa ~2217;
+        # plain gradient descent stopped there unconverged
+        assert main(["optimize", "--out", str(tmp_path), "--t-r", "0.05"]) == 0
+        captured = capsys.readouterr()
+        assert "converged=True" in captured.out and not captured.err
+        doc = json.loads((tmp_path / "basis_spec.json").read_text())
+        assert doc["kappa_final"] < 1.2
+
+    def test_unconverged_run_warns_on_stderr(self, tmp_path, capsys):
+        assert main(["optimize", "--out", str(tmp_path), "--max-iter", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("kappa=")
+        assert "iterations=0 converged=False" in captured.out
+        warning = captured.err.splitlines()
+        assert len(warning) == 1 and warning[0].startswith("warning:")
+        assert (tmp_path / "trajectory.csv").exists()
+
+
 class TestMatrixCommand:
     def test_small_matrix(self, tmp_path):
         out = tmp_path / "matrix"
