@@ -103,8 +103,7 @@ def _cmd_optimize(args) -> int:
           f"converged={result.converged} -> {args.out / 'trajectory.csv'}")
     if not result.converged:
         print(f"warning: the optimizer stopped unconverged at kappa {result.kappa_final:.6g} "
-              f"(objective {config.kappa_objective:g}, all joints in limits: {result.feasible})",
-              file=sys.stderr)
+              f"(objective {config.kappa_objective:g})", file=sys.stderr)
     return 0
 
 

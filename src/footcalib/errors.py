@@ -21,4 +21,4 @@ class RankDeficiencyError(IllConditionedError):
 
 
 class TrajectoryRejectedError(CalibrationError):
-    """An optimized trajectory leaves the joint limits or the accepted condition-number band."""
+    """An optimized trajectory's condition number is above the accepted band."""

@@ -18,7 +18,8 @@ import numpy as np
 from .calibrate import CalibrationOptions, calibrate, is_proper_rotation
 from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
-from .optimizer import OptimizerConfig, derive_schedule, eval_basis, initial_basis_spec, optimize
+from .optimizer import (OptimizerConfig, derive_schedule, eval_basis, initial_basis_spec, optimize,
+                        require_limits_contain_zero)
 from .simulate import (GaitKind, GaitParams, GroundTruth, NoiseModel, baseline_gait, euler_deg_to_matrix,
                        matrix_to_euler_deg, random_ground_truth, simulate_imu)
 from . import io as fio
@@ -100,6 +101,8 @@ class ExperimentConfig:
             raise ValueError("noise densities must differ when rounded to 1e-9")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if Motion.A2I in self.motions:
+            require_limits_contain_zero(self.geometry)
         for foot, truth in self.truths.items():
             if abs(truth.time_offset) > self.optimizer.offset_range:
                 raise ValueError(
@@ -221,8 +224,8 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
 
     The a2i motion is optimized once per (foot, seed) and executed for two
     full periods so the calibration window can cover one exact period away
-    from the data edges. An optimizer result outside the joint limits or
-    above the ``A2I_KAPPA_BAND`` condition number raises
+    from the data edges; ``optimize`` keeps it inside the joint limits. An
+    optimizer result above the ``A2I_KAPPA_BAND`` condition number raises
     TrajectoryRejectedError instead. Baseline gaits run for their default
     duration at the experiment sample rate.
     """
@@ -230,11 +233,10 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
     if motion is Motion.A2I:
         init_seed = _child_seed(opt.seed, 1, _foot_code(foot), _MOTION_CODE[motion], seed)
         result = optimize(initial_basis_spec(opt, seed=init_seed), opt, config.geometry)
-        if not result.feasible or result.kappa_final > A2I_KAPPA_BAND:
+        if result.kappa_final > A2I_KAPPA_BAND:
             raise TrajectoryRejectedError(
                 f"a2i trajectory for {foot} seed {seed} is out of band: "
-                f"kappa {result.kappa_final:.4g} (band {A2I_KAPPA_BAND}), "
-                f"feasible={result.feasible}, converged={result.converged}")
+                f"kappa {result.kappa_final:.4g} (band {A2I_KAPPA_BAND}), converged={result.converged}")
         n = int(round(2 * result.spec.period * opt.imu_frequency))
         grid = np.arange(n + 1) / opt.imu_frequency
         return eval_basis(result.spec, grid)

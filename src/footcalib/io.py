@@ -100,6 +100,7 @@ def write_optimizer_result(path, result: OptimizeResult) -> None:
         "rho": float(spec.calf_share),
         "kappa_final": float(result.kappa_final),
         "iterations": int(result.iterations),
+        "converged": bool(result.converged),
         "kappa_history": [float(v) for v in result.kappa_history],
     })
 

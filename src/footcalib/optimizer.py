@@ -20,14 +20,13 @@ basis table that is built once per schedule; input is validated where it
 enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call. The
 descent (``optimize``) builds BFGS inverse-Hessian updates from the
 analytic gradient of that loss (the derivative of the covariance's
-extreme eigenvalues, plus the joint-limit penalty terms). Every joint
-angle is linear in the amplitudes, so a limit that an extreme sample
-reaches is a linear constraint: the search direction drops its component
-along the outward normal of each active limit, and from inside the limits
-only candidates that stay inside are accepted. A step is taken only when
-it strictly lowers the loss. Each candidate is evaluated once: the
-gradient and the limit normals read the evaluation its loss report
-carries.
+extreme eigenvalues). Every joint angle is linear in the amplitudes, so a
+limit that an extreme sample reaches is a linear constraint: the search
+direction drops its component along the outward normal of each active
+limit, and only candidates inside the limits are accepted; a start
+outside them is first scaled into them. A step is taken only when it
+strictly lowers the loss. Each candidate is evaluated once: the gradient
+and the limit normals read the evaluation its loss report carries.
 """
 
 from __future__ import annotations
@@ -129,9 +128,6 @@ class OptimizerConfig:
     kappa_objective: float = 1.2
     max_iterations: int = 5000
     step_size: float = 0.02
-    penalty_hip: float = 10.0
-    penalty_thigh: float = 10.0
-    penalty_calf: float = 10.0
     imu_frequency: float = 500.0  # Hz
     offset_range: float = 0.25    # s
     seed: int = 0
@@ -144,12 +140,6 @@ class OptimizerConfig:
         for name in ("step_size", "imu_frequency", "offset_range"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        for name in ("penalty_hip", "penalty_thigh", "penalty_calf"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-
-    def penalty_weight(self, joint: str) -> float:
-        return getattr(self, f"penalty_{joint}")
 
 
 def initial_basis_spec(config: OptimizerConfig, harmonic_count: int = 3,
@@ -266,19 +256,18 @@ def _kappa(sigma: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss value: condition number plus active joint-limit penalties, and
-    the evaluation of the spec that ``loss_gradient`` reads (``_period_terms``)."""
+    """Condition number (the loss) of a spec, whether its joints stay inside
+    their limits, and the evaluation ``loss_gradient`` reads (``_period_terms``)."""
 
-    loss: float
     kappa: float
     in_bounds: bool
     _terms: tuple | None = field(default=None, compare=False, repr=False)
 
 
-def _period_terms(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry):
+def _period_terms(spec: BasisSpec, config: OptimizerConfig):
     """What the loss and its gradient share over one period of ``spec``: the
     basis rows, the joint arrays, sin and cos of the thigh+calf angle, the
-    centred foot velocity, its covariance and the joints outside their limits."""
+    centred foot velocity and its covariance."""
     _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.base_frequency, spec.period,
                                       config.imu_frequency)
     joints = _joint_arrays(spec, sin_ph, cos_ph)
@@ -292,45 +281,35 @@ def _period_terms(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
                              dtheta_thigh + dtheta_calf])
     centred = omega - omega.mean(axis=0)
     sigma = centred.T @ centred / (len(omega) - 1)
-    outside = []
-    for joint, angles in zip(JOINTS, joints[:3]):
-        lower, upper = geometry.limits(joint)
-        if not (angles.min() >= lower and angles.max() <= upper):
-            outside.append((joint, angles))
-    return sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma, outside
+    return sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma
 
 
 def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> LossReport:
-    """Condition number of the foot velocity covariance over one period,
-    plus weight * motion-range penalties for joints that leave their limits."""
-    terms = _period_terms(spec, config, geometry)
-    sigma, outside = terms[-2:]
-    kappa = _kappa(sigma)
-    penalty = 0.0
-    for joint, angles in outside:
-        penalty += config.penalty_weight(joint) * float(angles.max() - angles.min())
-    return LossReport(loss=kappa + penalty, kappa=kappa, in_bounds=not outside, _terms=terms)
+    """Condition number of the foot velocity covariance over one period, and
+    whether every joint stays inside its ``geometry`` limits."""
+    terms = _period_terms(spec, config)
+    in_bounds = all(lower <= angles.min() and angles.max() <= upper
+                    for (lower, upper), angles in zip(map(geometry.limits, JOINTS), terms[2]))
+    return LossReport(kappa=_kappa(terms[-1]), in_bounds=in_bounds, _terms=terms)
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Last, and best, iterate of the descent."""
+    """Last, and best, iterate of the descent; it keeps every joint inside its limits."""
 
     spec: BasisSpec
     kappa_history: np.ndarray
-    loss_history: np.ndarray
     kappa_final: float
     iterations: int
-    converged: bool   # condition number met the objective with all joints in bounds
-    feasible: bool    # returned spec keeps all joints in bounds
+    converged: bool   # condition number met the objective
 
 
-def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry,
+def loss_gradient(spec: BasisSpec, config: OptimizerConfig,
                   report: LossReport | None = None) -> np.ndarray:
-    """Analytic gradient of the loss over the stacked (hip, pitch) amplitudes.
+    """Analytic gradient of the condition number over the stacked (hip, pitch) amplitudes.
 
-    Pass ``report = trajectory_loss(spec, config, geometry)`` when it is at
-    hand, and the gradient reads its evaluation instead of evaluating again.
+    Pass the ``trajectory_loss`` report of ``spec`` when it is at hand, and
+    the gradient reads its evaluation instead of evaluating again.
 
     With u_max and u_min the extreme unit eigenvectors of the covariance
     Sigma = w_c^T w_c / (N-1) of the centred foot velocity w_c, each
@@ -340,12 +319,10 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
     With phi the thigh+calf angle and h the hip rate,
     dw/dA_k = (-sin phi, -cos phi, 0) sin(w_k t) and
     dw/dB_k = (-h cos phi, h sin phi, 0) sin(w_k t)/w_k + (0, 0, cos(w_k t)).
-    A joint outside its limits adds weight * (d theta at its argmax -
-    d theta at its argmin), a subgradient where either extreme is tied.
     Where kappa is infinite the gradient is NaN.
     """
-    terms = _period_terms(spec, config, geometry) if report is None else report._terms
-    sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma, outside = terms
+    terms = _period_terms(spec, config) if report is None else report._terms
+    sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma = terms
     w = spec.angular_frequencies
     # Sigma is symmetric PSD, so its singular vectors are its eigenvectors
     # and its singular values (those condition_number uses) its eigenvalues
@@ -365,13 +342,8 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometr
         return (2.0 / (len(centred) - 1)) * np.concatenate(
             [sin_ph @ hip_part, (sin_ph @ phi_part) / w + (cos_ph @ proj) * u[2]])
 
-    grad = (eigenvalue_gradient(vec[:, 0]) * lam_min
+    return (eigenvalue_gradient(vec[:, 0]) * lam_min
             - lam_max * eigenvalue_gradient(vec[:, -1])) / lam_min ** 2
-    for joint, angles in outside:
-        grad += config.penalty_weight(joint) * (
-            _angle_gradient(spec, terms, joint, angles.argmax())
-            - _angle_gradient(spec, terms, joint, angles.argmin()))
-    return grad
 
 
 def _angle_gradient(spec: BasisSpec, terms: tuple, joint: str, sample: int) -> np.ndarray:
@@ -390,19 +362,45 @@ def _angle_gradient(spec: BasisSpec, terms: tuple, joint: str, sample: int) -> n
 _ACTIVE_MARGIN = 1e-3               # rad: a joint this close to a limit has that limit active
 _ARMIJO_C1 = 1e-4                   # sufficient-decrease constant of the quasi-Newton step
 _MIN_QUASI_NEWTON_STEP = 2.0 ** -6  # below this the quasi-Newton step gives way to the gradient
+# share of a violated limit that a start outside the limits is scaled to; near 1 the
+# descent can follow the limit face into a constrained minimum above the objective
+_SCALE_IN = 0.95
+
+
+def require_limits_contain_zero(geometry: LegGeometry) -> None:
+    """Raise ValueError unless every joint's limit interval strictly contains 0,
+    about which every trajectory of the harmonic family oscillates."""
+    for joint in JOINTS:
+        lower, upper = geometry.limits(joint)
+        if not lower < 0.0 < upper:
+            raise ValueError(f"{joint} limits {(lower, upper)} exclude 0, the centre of every "
+                             "trajectory of the harmonic family")
+
+
+def _scaled_into_limits(spec: BasisSpec, geometry: LegGeometry, terms: tuple) -> BasisSpec:
+    """``spec`` with A scaled by the hip's factor and B by the smaller of the
+    thigh's and calf's, each min(1, ``_SCALE_IN`` * limit / extreme angle) over
+    the limits it violates: inside the limits, since the angles are linear
+    in A and B and every limit interval contains 0."""
+    factors = []
+    for joint, angles in zip(JOINTS, terms[2]):
+        lower, upper = geometry.limits(joint)
+        high, low = angles.max(), angles.min()
+        factor = _SCALE_IN * upper / high if high > upper else 1.0
+        factors.append(min(factor, _SCALE_IN * lower / low) if low < lower else factor)
+    return replace(spec, hip_rate_coeffs=factors[0] * spec.hip_rate_coeffs,
+                   pitch_rate_coeffs=min(factors[1:]) * spec.pitch_rate_coeffs)
 
 
 def _outward_normals(spec: BasisSpec, geometry: LegGeometry, terms: tuple) -> list[np.ndarray]:
     """Outward normals of the active joint-limit constraints, at most one per
-    joint: the limit of an in-limits joint whose extreme angle is within
-    ``_ACTIVE_MARGIN`` of it, or the nearer limit when both are."""
+    joint: the limit that a joint's extreme angle is within ``_ACTIVE_MARGIN``
+    of, or the nearer limit when both are."""
     normals = []
-    for joint, angles in zip(JOINTS, terms[2][:3]):
+    for joint, angles in zip(JOINTS, terms[2]):
         lower, upper = geometry.limits(joint)
         high, low = angles.argmax(), angles.argmin()
         upper_slack, lower_slack = upper - angles[high], angles[low] - lower
-        if not (upper_slack >= 0.0 and lower_slack >= 0.0):
-            continue  # outside its limits: the penalty term acts instead
         if upper_slack <= min(lower_slack, _ACTIVE_MARGIN):
             normals.append(_angle_gradient(spec, terms, joint, high))
         elif lower_slack <= _ACTIVE_MARGIN:
@@ -456,23 +454,27 @@ def _halvings(first: float, floor: float):
 def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> OptimizeResult:
     """Run projected BFGS descent on the harmonic amplitudes.
 
-    Per iteration: stop when the condition number is below the objective
-    with every joint in bounds; otherwise take the analytic gradient
-    (``loss_gradient``), which reads the evaluation carried by the current
-    iterate's loss report, and pair it with the previous gradient to update
-    the inverse Hessian H, which starts as ``step_size`` times the identity.
-    The quasi-Newton direction -H g loses its components along the outward
-    normals of the active joint limits (``_outward_normals``) and is tried
-    at unit step, halving to 2^-6 until the Armijo condition holds. When no
-    such step is accepted, H resets and the iteration falls back to the
-    projected gradient step ``step_size`` * -g, halving to 1e-15 of it, as
-    plain gradient descent. A candidate is accepted only when its loss is
-    finite and strictly lower than the current loss, and, from an iterate
-    inside the limits, only when it stays inside them; the run stops when
-    neither step is accepted. So ``loss_history`` strictly decreases, no
-    iterate leaves the limits once inside them, and the last iterate is the
-    best one.
+    Raises ValueError when a joint's limits exclude 0
+    (``require_limits_contain_zero``); a start outside the limits is first
+    scaled into them (``_scaled_into_limits``). Per iteration: stop when the
+    condition number is below the objective; otherwise pair the analytic
+    gradient (``loss_gradient``, read from the current iterate's loss
+    report) with the previous one to update the inverse Hessian H, which
+    starts as ``step_size`` times the identity. The quasi-Newton direction
+    -H g loses its components along the outward normals of the active joint
+    limits (``_outward_normals``) and is tried at unit step, halving to 2^-6
+    until the Armijo condition holds. When no such step is accepted, H
+    resets and the iteration falls back to the projected gradient step
+    ``step_size`` * -g, halving to 1e-15 of it. Only a candidate inside the
+    limits whose condition number is finite and strictly lower is accepted,
+    and the run stops when neither step is. So ``kappa_history`` strictly
+    decreases, every iterate is inside the limits, and the last is the best.
     """
+    require_limits_contain_zero(geometry)
+    report = trajectory_loss(initial, config, geometry)
+    if not report.in_bounds:
+        initial = _scaled_into_limits(initial, geometry, report._terms)
+        report = trajectory_loss(initial, config, geometry)
     n = initial.harmonic_count
     params = np.concatenate([initial.hip_rate_coeffs, initial.pitch_rate_coeffs])
 
@@ -486,17 +488,15 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
             candidate = params + step * direction
             cand_spec = spec_at(candidate)
             cand_report = trajectory_loss(cand_spec, config, geometry)
-            if (math.isfinite(cand_report.loss) and cand_report.loss < report.loss
-                    and cand_report.loss <= report.loss + _ARMIJO_C1 * step * slope
-                    and (cand_report.in_bounds or not report.in_bounds)):
+            if (math.isfinite(cand_report.kappa) and cand_report.kappa < report.kappa
+                    and cand_report.kappa <= report.kappa + _ARMIJO_C1 * step * slope
+                    and cand_report.in_bounds):
                 return candidate, cand_spec, cand_report
         return None
 
     spec = initial
-    report = trajectory_loss(spec, config, geometry)
     kappa_history = [report.kappa]
-    loss_history = [report.loss]
-    converged = report.kappa < config.kappa_objective and report.in_bounds
+    converged = report.kappa < config.kappa_objective
     iterations = 0
     initial_hessian = config.step_size * np.eye(2 * n)
     inverse_hessian = initial_hessian
@@ -504,7 +504,7 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        grad = loss_gradient(spec, config, geometry, report)
+        grad = loss_gradient(spec, config, report)
         if not np.all(np.isfinite(grad)):
             break  # no finite descent direction
         if previous is not None:
@@ -523,15 +523,12 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
         params, spec, report = accepted
 
         kappa_history.append(report.kappa)
-        loss_history.append(report.loss)
-        converged = report.kappa < config.kappa_objective and report.in_bounds
+        converged = report.kappa < config.kappa_objective
 
     return OptimizeResult(
         spec=spec,
         kappa_history=np.asarray(kappa_history),
-        loss_history=np.asarray(loss_history),
         kappa_final=report.kappa,
         iterations=iterations,
         converged=converged,
-        feasible=report.in_bounds,
     )

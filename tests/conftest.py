@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from footcalib import LegGeometry, calibration_geometry
-
-
-@pytest.fixture
-def go2_geometry():
-    """Default geometry with absolute Go2-class joint limits."""
-    return LegGeometry()
+from footcalib import calibration_geometry
 
 
 @pytest.fixture

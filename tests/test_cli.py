@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from footcalib import default_experiment_config
 from footcalib.cli import main
+from footcalib.harness import config_to_dict
 from footcalib.io import read_measurements, read_rows_csv, read_trajectory
 
 
@@ -64,7 +66,7 @@ class TestOptimizeCommand:
         captured = capsys.readouterr()
         assert "converged=True" in captured.out and not captured.err
         doc = json.loads((tmp_path / "basis_spec.json").read_text())
-        assert doc["kappa_final"] < 1.2
+        assert doc["kappa_final"] < 1.2 and doc["converged"] is True
 
     def test_unconverged_run_warns_on_stderr(self, tmp_path, capsys):
         assert main(["optimize", "--out", str(tmp_path), "--max-iter", "0"]) == 0
@@ -74,6 +76,7 @@ class TestOptimizeCommand:
         warning = captured.err.splitlines()
         assert len(warning) == 1 and warning[0].startswith("warning:")
         assert (tmp_path / "trajectory.csv").exists()
+        assert json.loads((tmp_path / "basis_spec.json").read_text())["converged"] is False
 
 
 class TestMatrixCommand:
@@ -85,6 +88,18 @@ class TestMatrixCommand:
         rows = read_rows_csv(out / "rows.csv")
         assert len(rows) == 4
         assert all(not r["error"] for r in rows)
+
+    def test_config_with_limits_excluding_zero_rejected(self, tmp_path, capsys):
+        # the Go2 calf limits (-2.7, -0.8) fit no a2i trajectory: the
+        # config is rejected at load, before any report file is opened
+        doc = config_to_dict(default_experiment_config(tmp_path / "unused"))
+        doc["geometry"]["calf_limits"] = [-2.7, -0.8]
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        out = tmp_path / "matrix"
+        code = main(["matrix", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+        assert not out.exists()
 
 
 class TestTheoremCheck:

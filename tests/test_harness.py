@@ -112,11 +112,24 @@ class TestConfig:
         assert config.motions == (Motion.A2I,)
         assert len(config.truths) == 4
 
-    def test_finite_difference_step_key_rejected(self, tmp_path):
-        # the loss gradient is analytic, so a document that still sets the
-        # old finite-difference step is stale and must not load silently
-        with pytest.raises(TypeError, match="fd_epsilon"):
-            config_from_dict({"optimizer": {"fd_epsilon": 1e-6}}, output_dir=tmp_path / "out")
+    @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
+    def test_removed_optimizer_key_rejected(self, tmp_path, key):
+        # the loss gradient is analytic and the descent keeps the joints
+        # inside their limits, so a document that still sets the old
+        # finite-difference step or a penalty weight is stale and must not
+        # load silently
+        with pytest.raises(TypeError, match=key):
+            config_from_dict({"optimizer": {key: 1e-6}}, output_dir=tmp_path / "out")
+
+    def test_a2i_limits_excluding_zero_rejected(self, tmp_path):
+        # no trajectory of the harmonic family fits the Go2 calf limits
+        # (-2.7, -0.8); the gait motions do not use the limits
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        doc["geometry"]["calf_limits"] = [-2.7, -0.8]
+        with pytest.raises(ValueError, match="calf limits"):
+            config_from_dict(doc)
+        doc["motions"] = ["walk", "spin", "wave"]
+        assert config_from_dict(doc).geometry.calf_limits == (-2.7, -0.8)
 
     def test_nonstandard_twists_rejected(self, tmp_path):
         # the foot velocity map holds for the leg's twists (0, -pi/2, 0, 0) only
@@ -170,8 +183,6 @@ class TestConfig:
     lambda: OptimizerConfig(max_iterations=math.nan),
     lambda: OptimizerConfig(step_size=math.nan),
     lambda: OptimizerConfig(step_size=math.inf),
-    lambda: OptimizerConfig(penalty_hip=math.nan),
-    lambda: OptimizerConfig(penalty_calf=math.inf),
     lambda: OptimizerConfig(imu_frequency=math.inf),
     lambda: OptimizerConfig(offset_range=math.nan),
     lambda: OptimizerConfig(offset_range=math.inf),
@@ -183,7 +194,7 @@ class TestConfig:
     lambda: BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                       base_frequency=math.inf, period=2.0),
 ], ids=["density-nan", "density-inf", "sample-rate-nan", "kappa-nan", "kappa-inf",
-        "max-iterations-nan", "step-nan", "step-inf", "penalty-nan", "penalty-inf",
+        "max-iterations-nan", "step-nan", "step-inf",
         "imu-frequency-inf", "offset-range-nan", "offset-range-inf", "matrix-density-nan",
         "matrix-density-inf", "rotation-nan", "search-range-nan", "gait-duration-nan",
         "base-frequency-inf"])
@@ -314,8 +325,8 @@ class TestRunMatrix:
 
     def test_out_of_band_a2i_trajectory_becomes_error_rows(self, tmp_path, monkeypatch):
         # a start without pitch motion has a singular foot covariance, so
-        # the optimizer stops at it, in bounds with kappa infinite: above
-        # the band the matrix accepts
+        # the optimizer stops at it with kappa infinite: above the band the
+        # matrix accepts
         results = []
         optimize = harness.optimize
 
@@ -331,7 +342,7 @@ class TestRunMatrix:
         config = replace(config, truths={"FR": config.truths["FR"]})
         rows = run_matrix(config).rows
         assert len(results) == 1
-        assert results[0].feasible and results[0].kappa_final > A2I_KAPPA_BAND
+        assert results[0].kappa_final > A2I_KAPPA_BAND
         assert len(rows) == 2
         for row in rows:
             assert row.error.startswith("TrajectoryRejectedError")

@@ -88,7 +88,7 @@ class TestJsonDocuments:
         fio.write_optimizer_result(path, result)
         doc = json.loads(path.read_text())
         assert set(doc) == {"A", "B", "f", "T", "N", "rho", "kappa_final",
-                            "iterations", "kappa_history"}
+                            "iterations", "converged", "kappa_history"}
         assert doc["N"] == len(doc["A"]) == len(doc["B"])
         assert doc["f"] == pytest.approx(math.pi)
         assert doc["T"] == pytest.approx(2.0)
