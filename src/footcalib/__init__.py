@@ -48,19 +48,16 @@ from .optimizer import (
     LossReport,
     OptimizeResult,
     OptimizerConfig,
-    Schedule,
     condition_number,
-    derive_schedule,
     eval_basis,
     initial_basis_spec,
     loss_gradient,
-    one_period_grid,
     optimize,
+    period_samples,
     trajectory_loss,
 )
 from .simulate import (
     GaitKind,
-    GaitParams,
     GroundTruth,
     NoiseModel,
     baseline_gait,

@@ -299,7 +299,6 @@ class CalibrationResult:
 
     rotation: np.ndarray
     time_offset: float
-    correlation: float
     condition_number: float
     offset_scan: np.ndarray
 
@@ -312,11 +311,15 @@ class CalibrationResult:
         scan = np.asarray(self.offset_scan, dtype=float)
         if scan.ndim != 2 or scan.shape[1] != 2:
             raise ValueError("offset_scan must have shape (n, 2)")
-        best = np.nanmax(scan[:, 1]) if np.any(np.isfinite(scan[:, 1])) else np.nan
-        if not (np.isfinite(best) and abs(self.correlation - best) <= 1e-12):
-            raise ValueError("correlation must equal the maximum over the offset scan")
+        if not np.any(np.isfinite(scan[:, 1])):
+            raise ValueError("offset_scan must hold at least one finite correlation")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "offset_scan", scan)
+
+    @property
+    def correlation(self) -> float:
+        """Trace correlation at the scan maximum, ignoring failed (NaN) lags."""
+        return float(np.nanmax(self.offset_scan[:, 1]))
 
 
 def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
@@ -337,7 +340,6 @@ def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
     return CalibrationResult(
         rotation=estimate_rotation(cov),
         time_offset=estimate.time_offset,
-        correlation=float(np.nanmax(estimate.scan[:, 1])),
         condition_number=condition_number(cov.sigma_ff),
         offset_scan=estimate.scan,
     )

@@ -25,11 +25,11 @@ from .calibrate import CalibrationOptions, calibrate
 from .kinematics import trajectory_to_foot_velocity
 from .optimizer import (
     OptimizerConfig,
-    derive_schedule,
     diagonality_ratio,
     eval_basis,
     initial_basis_spec,
     optimize,
+    period_samples,
 )
 from .simulate import GroundTruth, NoiseModel, simulate_imu
 
@@ -97,7 +97,9 @@ def _cmd_optimize(args) -> int:
                       config, harness.calibration_geometry())
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_optimizer_result(args.out / "basis_spec.json", result)
-    grid = derive_schedule(config.imu_frequency, config.offset_range).time_grid
+    # one closed period, t = 0 .. T, so the trajectory returns to its start
+    n = period_samples(config.period, config.imu_frequency)
+    grid = np.arange(n + 1) / config.imu_frequency
     io.write_trajectory(args.out / "trajectory.csv", eval_basis(result.spec, grid))
     print(f"kappa={result.kappa_final:.6g} iterations={result.iterations} "
           f"converged={result.converged} -> {args.out / 'trajectory.csv'}")
@@ -116,8 +118,7 @@ def _cmd_simulate(args) -> int:
     else:
         raise ValueError("provide --truth or --euler")
     foot = trajectory_to_foot_velocity(traj)
-    noise = NoiseModel(density=args.noise, sample_rate=traj.sample_rate, seed=args.seed)
-    imu = simulate_imu(foot, truth, noise)
+    imu = simulate_imu(foot, truth, NoiseModel(density=args.noise, seed=args.seed))
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_measurements(args.out / "foot_kinematic.csv", foot)
     io.write_measurements(args.out / "imu_measurements.csv", imu)

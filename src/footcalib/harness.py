@@ -18,9 +18,9 @@ import numpy as np
 from .calibrate import CalibrationOptions, calibrate, is_proper_rotation
 from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
-from .optimizer import (OptimizerConfig, derive_schedule, eval_basis, initial_basis_spec, optimize,
+from .optimizer import (OptimizerConfig, eval_basis, initial_basis_spec, optimize, period_samples,
                         require_limits_contain_zero)
-from .simulate import (GaitKind, GaitParams, GroundTruth, NoiseModel, baseline_gait, euler_deg_to_matrix,
+from .simulate import (GaitKind, GroundTruth, NoiseModel, baseline_gait, euler_deg_to_matrix,
                        matrix_to_euler_deg, random_ground_truth, simulate_imu)
 from . import io as fio
 
@@ -75,7 +75,12 @@ def calibration_geometry() -> LegGeometry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment matrix description."""
+    """Full experiment matrix description.
+
+    With the a2i motion, the joint limits must contain 0 and the
+    optimizer's period must be a whole number of IMU samples
+    (``period_samples``), or construction raises ValueError.
+    """
 
     geometry: LegGeometry
     truths: dict[str, GroundTruth]
@@ -103,6 +108,7 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if Motion.A2I in self.motions:
             require_limits_contain_zero(self.geometry)
+            period_samples(self.optimizer.period, self.optimizer.imu_frequency)
         for foot, truth in self.truths.items():
             if abs(truth.time_offset) > self.optimizer.offset_range:
                 raise ValueError(
@@ -112,13 +118,19 @@ class ExperimentConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
-def default_truths(base_seed: int = 0, offset_range: float = 0.1,
-                   grid_step: float | None = 1 / 500.0) -> dict[str, GroundTruth]:
-    """Distinct seeded random mounting truths for the four feet."""
+def default_truths(base_seed: int = 0,
+                   optimizer: OptimizerConfig = OptimizerConfig()) -> dict[str, GroundTruth]:
+    """Distinct seeded random mounting truths for the four feet.
+
+    Offsets lie within ±min(0.1 s, the optimizer's offset range), on its
+    IMU sample grid.
+    """
+    offset_range = min(0.1, optimizer.offset_range)
     truths = {}
     for foot in FOOT_IDS:
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, 7, _foot_code(foot)]))
-        truths[foot] = random_ground_truth(rng, offset_range, grid_step=grid_step)
+        truths[foot] = random_ground_truth(rng, offset_range,
+                                           grid_step=1 / optimizer.imu_frequency)
     return truths
 
 
@@ -130,7 +142,7 @@ def default_experiment_config(output_dir, base_seed: int = 0,
     optimizer = optimizer or OptimizerConfig(seed=base_seed)
     return ExperimentConfig(
         geometry=calibration_geometry(),
-        truths=default_truths(base_seed, grid_step=1 / optimizer.imu_frequency),
+        truths=default_truths(base_seed, optimizer),
         noise_densities=tuple(noise_densities),
         motions=tuple(motions),
         optimizer=optimizer,
@@ -226,8 +238,8 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
     full periods so the calibration window can cover one exact period away
     from the data edges; ``optimize`` keeps it inside the joint limits. An
     optimizer result above the ``A2I_KAPPA_BAND`` condition number raises
-    TrajectoryRejectedError instead. Baseline gaits run for their default
-    duration at the experiment sample rate.
+    TrajectoryRejectedError instead. Baseline gaits run for
+    ``GAIT_DURATION`` at the experiment sample rate.
     """
     opt = config.optimizer
     if motion is Motion.A2I:
@@ -237,20 +249,9 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
             raise TrajectoryRejectedError(
                 f"a2i trajectory for {foot} seed {seed} is out of band: "
                 f"kappa {result.kappa_final:.4g} (band {A2I_KAPPA_BAND}), converged={result.converged}")
-        n = int(round(2 * result.spec.period * opt.imu_frequency))
-        grid = np.arange(n + 1) / opt.imu_frequency
-        return eval_basis(result.spec, grid)
-    kind = _GAIT_FOR_MOTION[motion]
-    return baseline_gait(kind, GaitParams(duration=4.0, sample_rate=opt.imu_frequency))
-
-
-def _cell_options(config: ExperimentConfig, motion: Motion) -> CalibrationOptions:
-    window = None
-    if motion is Motion.A2I:
-        schedule = derive_schedule(config.optimizer.imu_frequency, config.optimizer.offset_range)
-        window = int(round(schedule.period * config.optimizer.imu_frequency))
-    return CalibrationOptions(offset_range=config.optimizer.offset_range,
-                              window_samples=window)
+        n = period_samples(result.spec.period, opt.imu_frequency)
+        return eval_basis(result.spec, np.arange(2 * n + 1) / opt.imu_frequency)
+    return baseline_gait(_GAIT_FOR_MOTION[motion], opt.imu_frequency)
 
 
 def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float,
@@ -260,13 +261,15 @@ def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float
     ``foot_series`` is the foot-end angular velocity of the cell's
     trajectory. Returns (ReportRow fields without wall time, offset scan).
     """
+    opt = config.optimizer
     truth = config.truths[foot]
-    noise_seed = _child_seed(config.optimizer.seed, 2, _foot_code(foot),
-                             _MOTION_CODE[motion], _density_code(density), seed)
-    noise = NoiseModel(density=density, sample_rate=config.optimizer.imu_frequency,
-                       seed=noise_seed)
-    imu = simulate_imu(foot_series, truth, noise)
-    result = calibrate(imu, foot_series, _cell_options(config, motion))
+    noise_seed = _child_seed(opt.seed, 2, _foot_code(foot), _MOTION_CODE[motion],
+                             _density_code(density), seed)
+    imu = simulate_imu(foot_series, truth, NoiseModel(density=density, seed=noise_seed))
+    # an a2i cell is calibrated on one period, away from the data edges
+    window = period_samples(opt.period, opt.imu_frequency) if motion is Motion.A2I else None
+    result = calibrate(imu, foot_series,
+                       CalibrationOptions(offset_range=opt.offset_range, window_samples=window))
     err = rotation_error(result.rotation, truth.euler_deg)
     metrics = dict(
         cn=result.condition_number,
@@ -418,7 +421,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
                                                    time_offset=spec.get("t_d_s", 0.0))
                   for foot, spec in doc["truths"].items()}
     else:
-        truths = default_truths(optimizer.seed, grid_step=1 / optimizer.imu_frequency)
+        truths = default_truths(optimizer.seed, optimizer)
     return ExperimentConfig(
         geometry=geometry,
         truths=truths,

@@ -98,14 +98,6 @@ class JointTrajectory:
         return len(self.time_grid)
 
     @property
-    def dt(self) -> float:
-        return (self.time_grid[-1] - self.time_grid[0]) / (len(self.time_grid) - 1)
-
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.dt
-
-    @property
     def theta_sum(self) -> np.ndarray:
         """Combined thigh+calf angle; the only angle the velocity map needs."""
         return self.theta_thigh + self.theta_calf

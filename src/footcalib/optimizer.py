@@ -16,8 +16,9 @@ multiples removes every matched pair and the off-diagonals vanish to
 machine precision.
 
 The loss inside the descent runs on plain arrays over a read-only sin/cos
-basis table that is built once per schedule; input is validated where it
-enters (``BasisSpec``, ``OptimizerConfig``), not in every loss call. The
+basis table that is built once per period and sample rate; input is
+validated where it enters (``BasisSpec``, ``OptimizerConfig``,
+``period_samples``), not in every loss call. The
 descent (``optimize``) builds BFGS inverse-Hessian updates from the
 analytic gradient of that loss (the derivative of the covariance's
 extreme eigenvalues). Every joint angle is linear in the amplitudes, so a
@@ -42,34 +43,19 @@ from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocit
 JOINTS = ("hip", "thigh", "calf")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Base frequency, period and execution time grid for a calibration run.
+def period_samples(period: float, imu_frequency: float) -> int:
+    """Number of IMU samples in ``period`` s at ``imu_frequency`` Hz.
 
-    The grid covers one closed period: both t=0 and t=T are present so the
-    emitted trajectory returns to its starting state.
+    The odd-harmonic covariance is diagonal only over a whole number of
+    samples per period, so this raises ValueError unless period *
+    imu_frequency is a whole number, to 1e-9 relative, of at least 2.
     """
-
-    base_frequency: float  # rad/s
-    period: float          # s
-    time_grid: np.ndarray  # s
-
-
-def derive_schedule(imu_frequency: float, offset_range: float) -> Schedule:
-    """Schedule for a sensor sampled at ``imu_frequency`` with time offsets in ±``offset_range``.
-
-    The base frequency pi/(4*t_r) makes the fundamental period 8*t_r, so a
-    single period supports an unambiguous offset search over ±t_r.
-    """
-    if not (imu_frequency > 0 and math.isfinite(imu_frequency)):
-        raise ValueError(f"imu_frequency must be positive, got {imu_frequency}")
-    if not (offset_range > 0 and math.isfinite(offset_range)):
-        raise ValueError(f"offset_range must be positive, got {offset_range}")
-    f = math.pi / (4.0 * offset_range)
-    period = 8.0 * offset_range
-    n = int(math.floor(period * imu_frequency + 1e-9))
-    grid = np.arange(n + 1) / imu_frequency
-    return Schedule(base_frequency=f, period=period, time_grid=grid)
+    samples = period * imu_frequency
+    n = round(samples)
+    if not (n >= 2 and abs(samples - n) <= 1e-9 * samples):
+        raise ValueError(f"a period of {period!r} s at {imu_frequency!r} Hz is {samples!r} "
+                         "samples, not a whole number of at least 2")
+    return n
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,8 @@ class OptimizerConfig:
     """Knobs of the projected quasi-Newton trajectory generator.
 
     ``step_size`` scales the initial inverse Hessian, H0 = step_size * I,
-    and is the first step of the gradient fallback.
+    and is the first step of the gradient fallback. ``imu_frequency`` and
+    ``offset_range`` fix the time base (``base_frequency``, ``period``).
     """
 
     kappa_objective: float = 1.2
@@ -141,17 +128,31 @@ class OptimizerConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
 
+    @property
+    def base_frequency(self) -> float:
+        """pi/(4*t_r) rad/s: its period 8*t_r supports an unambiguous offset search over ±t_r."""
+        return math.pi / (4.0 * self.offset_range)
+
+    @property
+    def period(self) -> float:
+        """Fundamental period 8*t_r in s."""
+        return 8.0 * self.offset_range
+
 
 def initial_basis_spec(config: OptimizerConfig, harmonic_count: int = 3,
                        calf_share: float = 0.0, seed: int | None = None) -> BasisSpec:
-    """Seeded random starting point with amplitudes drawn from U[0.5, 1.5]."""
+    """Seeded random starting point with amplitudes drawn from U[0.5, 1.5].
+
+    Raises ValueError unless the config's period is a whole number of
+    samples (``period_samples``).
+    """
+    period_samples(config.period, config.imu_frequency)
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    schedule = derive_schedule(config.imu_frequency, config.offset_range)
     return BasisSpec(
         hip_rate_coeffs=rng.uniform(0.5, 1.5, harmonic_count),
         pitch_rate_coeffs=rng.uniform(0.5, 1.5, harmonic_count),
-        base_frequency=schedule.base_frequency,
-        period=schedule.period,
+        base_frequency=config.base_frequency,
+        period=config.period,
         calf_share=calf_share,
     )
 
@@ -189,20 +190,12 @@ def _period_basis(harmonic_count: int, base_frequency: float, period: float,
     counts the first phase twice, which biases the sample means by O(1/N)
     and lifts the covariance off-diagonals far above machine precision.
     """
-    n = int(round(period * imu_frequency))
-    if n < 2:
-        raise ValueError("period times sample rate must be at least 2 samples")
-    grid = np.arange(n) / imu_frequency
+    grid = np.arange(period_samples(period, imu_frequency)) / imu_frequency
     phase = np.outer(_angular_frequencies(harmonic_count, base_frequency), grid)
     arrays = (grid, np.sin(phase), np.cos(phase))
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def one_period_grid(spec: BasisSpec, imu_frequency: float) -> np.ndarray:
-    """Half-open grid covering exactly one period (read-only; see ``_period_basis``)."""
-    return _period_basis(spec.harmonic_count, spec.base_frequency, spec.period, imu_frequency)[0]
 
 
 def sample_covariance(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -223,7 +216,7 @@ def diagonality_ratio(spec: BasisSpec, imu_frequency: float) -> float:
     The odd-harmonic basis family is built so that this ratio vanishes to
     machine precision.
     """
-    traj = eval_basis(spec, one_period_grid(spec, imu_frequency))
+    traj = eval_basis(spec, np.arange(period_samples(spec.period, imu_frequency)) / imu_frequency)
     sigma = sample_covariance(trajectory_to_foot_velocity(traj).samples)
     off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
     return off / sigma.diagonal().max()

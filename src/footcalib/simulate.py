@@ -111,23 +111,20 @@ def random_ground_truth(rng: np.random.Generator, offset_range: float,
 class NoiseModel:
     """Gyroscope white-noise description.
 
-    density is in deg/s/sqrt(Hz); the per-sample standard deviation is
-    density * sqrt(sample_rate), converted to rad/s.
+    density is in deg/s/sqrt(Hz); on a series sampled every dt seconds
+    the per-sample standard deviation is density * sqrt(1/dt), converted
+    to rad/s.
     """
 
-    density: float      # deg/s/sqrt(Hz)
-    sample_rate: float  # Hz
+    density: float  # deg/s/sqrt(Hz)
     seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.density < math.inf:
             raise ValueError("density must be finite and >= 0")
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError("sample_rate must be finite and positive")
-
-    @property
-    def sigma_rad_s(self) -> float:
-        return math.radians(self.density) * math.sqrt(self.sample_rate)
+        # a float here is most likely a sample rate passed where the seed goes
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def simulate_imu(foot_series: AngularVelocitySeries, truth: GroundTruth,
@@ -136,23 +133,21 @@ def simulate_imu(foot_series: AngularVelocitySeries, truth: GroundTruth,
 
     Each output sample at time t is R^-1 applied to the kinematic series
     evaluated at t - t_d (linear interpolation, edges held), plus i.i.d.
-    Gaussian noise per axis. Timestamps stay on the original grid: the
-    offset is hidden in the data, as in real logging.
+    Gaussian noise per axis at the series' own sample rate 1/dt.
+    Timestamps stay on the original grid: the offset is hidden in the
+    data, as in real logging.
     """
     if foot_series.frame is not Frame.FOOT_KINEMATIC:
         raise ValueError(f"expected a FootKinematic series, got {foot_series.frame}")
     dt = foot_series.uniform_dt()
-    if abs(dt * noise.sample_rate - 1.0) > 1e-9:
-        raise ValueError(
-            f"series grid spacing {dt} does not match noise model sample rate {noise.sample_rate}"
-        )
     t = foot_series.time_grid
     shifted = resample(t, foot_series.samples, t - truth.time_offset)
     # omega_I = R^T omega_F for each row
     measured = shifted @ truth.rotation
     if noise.density > 0:
         rng = np.random.default_rng(noise.seed)
-        measured = measured + rng.normal(0.0, noise.sigma_rad_s, measured.shape)
+        sigma = math.radians(noise.density) * math.sqrt(1.0 / dt)
+        measured = measured + rng.normal(0.0, sigma, measured.shape)
     return AngularVelocitySeries(t, measured, Frame.FOOT_IMU)
 
 
@@ -160,20 +155,6 @@ class GaitKind(Enum):
     WALK = "walk"
     SPIN = "spin"
     WAVE = "wave"
-
-
-@dataclass(frozen=True)
-class GaitParams:
-    """Cyclic gait timing: period and duration in s, sample rate in Hz."""
-
-    period: float = 1.0
-    duration: float = 4.0
-    sample_rate: float = 500.0
-
-    def __post_init__(self):
-        for name in ("period", "duration", "sample_rate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
 
 
 # Per-joint amplitudes (hip, thigh, calf) in rad. The shapes are
@@ -193,22 +174,26 @@ _GAIT_SHAPES = {
     GaitKind.SPIN: ((1, 0.0), (2, 0.0), (1, 0.7)),
     GaitKind.WAVE: ((3, 0.0), (1, 0.0), (2, 0.4)),
 }
+GAIT_PERIOD = 1.0    # s
+GAIT_DURATION = 4.0  # s, four gait cycles
 
 
-def baseline_gait(kind: GaitKind, params: GaitParams | None = None) -> JointTrajectory:
+def baseline_gait(kind: GaitKind, sample_rate: float = 500.0) -> JointTrajectory:
     """Deterministic cyclic joint profile for one of the comparison gaits.
 
-    Each joint follows amplitude * sin(m * w0 * t + phase) with w0 =
-    2*pi/period; the (m, phase) shape constants and the amplitudes are
-    listed in this module. Walk swings thigh and calf in quadrature with a
+    The profile covers ``GAIT_DURATION`` s at ``sample_rate`` Hz, which
+    must be finite and positive. Each joint follows amplitude * sin(m * w0
+    * t + phase) with w0 = 2*pi/``GAIT_PERIOD``; the (m, phase) shape
+    constants and the amplitudes are listed in this module. Walk swings thigh and calf in quadrature with a
     small hip sway, spin is a dominant hip oscillation over near-constant
     thigh/calf, and wave is a single-joint thigh sinusoid with hip and
     calf nearly static.
     """
-    params = params or GaitParams()
-    w0 = 2.0 * math.pi / params.period
-    n = int(math.floor(params.duration * params.sample_rate + 1e-9))
-    t = np.arange(n + 1) / params.sample_rate
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
+    w0 = 2.0 * math.pi / GAIT_PERIOD
+    n = int(math.floor(GAIT_DURATION * sample_rate + 1e-9))
+    t = np.arange(n + 1) / sample_rate
 
     angles, rates = [], []
     for amp, (mult, phase) in zip(_GAIT_AMPLITUDES[kind], _GAIT_SHAPES[kind]):

@@ -23,6 +23,7 @@ from footcalib import (
     eval_basis,
     initial_basis_spec,
     optimize,
+    period_samples,
     random_ground_truth,
     rotation_error,
     run_matrix,
@@ -60,13 +61,14 @@ def optimized_feet():
 def optimized_series(optimized_feet):
     """Two executed periods of the FL optimized trajectory as a foot series."""
     spec = optimized_feet["FL"][0].spec
-    grid = np.arange(2 * int(round(spec.period * RATE)) + 1) / RATE
+    grid = np.arange(2 * period_samples(spec.period, RATE) + 1) / RATE
     traj = eval_basis(spec, grid)
     return trajectory_to_foot_velocity(traj)
 
 
 def a2i_options():
-    return CalibrationOptions(offset_range=0.25, window_samples=int(round(2.0 * RATE)))
+    return CalibrationOptions(offset_range=0.25,
+                              window_samples=period_samples(OptimizerConfig().period, RATE))
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +108,7 @@ def test_criterion_3_noiseless_round_trip(optimized_series):
     for seed in range(20):
         rng = np.random.default_rng(300 + seed)
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
-        imu = simulate_imu(optimized_series, truth, NoiseModel(0.0, RATE, seed=seed))
+        imu = simulate_imu(optimized_series, truth, NoiseModel(0.0, seed=seed))
         result = calibrate(imu, optimized_series, a2i_options())
         worst_re = max(worst_re, rotation_error(result.rotation, truth.euler_deg).degrees)
         worst_td = max(worst_td, abs(result.time_offset - truth.time_offset))
@@ -124,7 +126,7 @@ def test_criterion_4_noisy_calibration_accuracy(optimized_series):
         for seed in range(20):
             rng = np.random.default_rng(4000 + seed)
             truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
-            noise = NoiseModel(density, RATE, seed=_child_seed(4, int(density * 1e9), seed))
+            noise = NoiseModel(density, seed=_child_seed(4, int(density * 1e9), seed))
             imu = simulate_imu(optimized_series, truth, noise)
             result = calibrate(imu, optimized_series, a2i_options())
             errors.append(rotation_error(result.rotation, truth.euler_deg).degrees)
@@ -169,7 +171,7 @@ def test_criterion_6_time_offset_precision(optimized_series):
     for seed in range(20):
         rng = np.random.default_rng(600 + seed)
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=None)
-        noise = NoiseModel(0.03, RATE, seed=_child_seed(6, seed))
+        noise = NoiseModel(0.03, seed=_child_seed(6, seed))
         imu = simulate_imu(optimized_series, truth, noise)
         result = calibrate(imu, optimized_series, a2i_options())
         worst = max(worst, abs(result.time_offset - truth.time_offset))

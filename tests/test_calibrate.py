@@ -21,6 +21,7 @@ from footcalib import (
     estimate_rotation,
     estimate_time_offset,
     eval_basis,
+    period_samples,
     random_ground_truth,
     rotation_error,
     simulate_imu,
@@ -42,13 +43,13 @@ GOOD_SPEC = BasisSpec(hip_rate_coeffs=[1.2, 0.8, 5.3], pitch_rate_coeffs=[3.7, 0
 @pytest.fixture(scope="module")
 def foot_series():
     """Two closed periods of the hand-picked calibration motion at 500 Hz."""
-    grid = np.arange(2 * int(round(GOOD_SPEC.period * RATE)) + 1) / RATE
+    grid = np.arange(2 * period_samples(GOOD_SPEC.period, RATE) + 1) / RATE
     traj = eval_basis(GOOD_SPEC, grid)
     return trajectory_to_foot_velocity(traj)
 
 
 def options(**kwargs):
-    defaults = dict(offset_range=0.25, window_samples=int(round(GOOD_SPEC.period * RATE)))
+    defaults = dict(offset_range=0.25, window_samples=period_samples(GOOD_SPEC.period, RATE))
     defaults.update(kwargs)
     return CalibrationOptions(**defaults)
 
@@ -147,7 +148,7 @@ class TestCovarianceSet:
 class TestTraceCorrelation:
     def test_exact_rotation_gives_unity(self, foot_series):
         truth = GroundTruth.from_euler_deg(40.0, -30.0, 75.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         r = trace_correlation(covariance_set(imu, foot_series))
         assert r == pytest.approx(1.0, abs=1e-9)
 
@@ -166,7 +167,7 @@ class TestTraceCorrelation:
 
     def test_invariant_under_common_rotation(self, foot_series):
         truth = GroundTruth.from_euler_deg(15.0, 25.0, -60.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.02, RATE, seed=12))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.02, seed=12))
         base = trace_correlation(covariance_set(imu, foot_series))
         fixed = GroundTruth.from_euler_deg(-50.0, 20.0, 130.0).rotation
         imu_rot = AngularVelocitySeries(imu.time_grid, imu.samples @ fixed.T, Frame.FOOT_IMU)
@@ -179,19 +180,19 @@ class TestTraceCorrelation:
 class TestEstimateTimeOffset:
     def test_zero_offset_noiseless(self, foot_series):
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=0.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.25))
         assert abs(estimate.time_offset) <= 1e-9 / RATE
 
     def test_twenty_ms_offset_within_one_step(self, foot_series):
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=0.020)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.1))
         assert abs(estimate.time_offset - 0.020) <= 0.001
 
     def test_scan_maximum_matches_estimate(self, foot_series):
         truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=3))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, seed=3))
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.25))
         scan = estimate.scan
         best = scan[np.nanargmax(scan[:, 1]), 0]
@@ -202,7 +203,7 @@ class TestEstimateTimeOffset:
         # the truths sit 0.35 to 0.55 samples off the lag grid; the parabola
         # through the best lag and its neighbours must land on them
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=t_d)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=4))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, seed=4))
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.1))
         assert abs(estimate.time_offset - t_d) <= 0.02 / RATE
 
@@ -210,7 +211,7 @@ class TestEstimateTimeOffset:
     def test_truth_at_scan_edge_gives_edge_lag(self, foot_series, t_d):
         # the peak lag has no outer neighbour, so no parabola is fitted
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=t_d)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, RATE, seed=4))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, seed=4))
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range=0.02))
         edge = estimate.scan[0 if t_d < 0 else -1]
         assert edge[1] == np.nanmax(estimate.scan[:, 1])
@@ -236,7 +237,7 @@ class TestEstimateTimeOffset:
         # scan finds those lags singular; under a DC level of 1e3 on every
         # axis that holds only if the sums start from centred samples.
         truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=17))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=17))
         samples = imu.samples + level
         samples[:silent_x_samples, 0] = held
         imu = AngularVelocitySeries(imu.time_grid, samples, Frame.FOOT_IMU)
@@ -282,7 +283,7 @@ class TestEstimateRotation:
 
     def test_recovers_injected_rotation(self, foot_series):
         truth = GroundTruth.from_euler_deg(30.0, 45.0, 60.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         rotation = estimate_rotation(covariance_set(imu, foot_series))
         assert rotation_error(rotation, truth.euler_deg).degrees <= 1e-6
 
@@ -290,7 +291,7 @@ class TestEstimateRotation:
         # the returned rotation maps IMU samples onto foot samples with a
         # smaller squared residual than its transpose
         truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.005, RATE, seed=21))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.005, seed=21))
         best_fit = estimate_rotation(covariance_set(imu, foot_series))
 
         def residual(rotation):
@@ -301,7 +302,7 @@ class TestEstimateRotation:
     def test_is_projection_of_least_squares_map(self, foot_series):
         # R is the SO(3) projection of S_FF^-1 S_FI, not a residual minimizer
         truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=21))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=21))
         cov = covariance_set(imu, foot_series)
         u, _, vt = np.linalg.svd(np.linalg.solve(cov.sigma_ff, cov.sigma_fi))
         projected = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
@@ -312,7 +313,7 @@ class TestEstimateRotation:
         # residual sum ||R w_imu - w_foot||^2 than the projected map
         foot = trajectory_to_foot_velocity(baseline_gait(GaitKind.WALK))
         truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
-        imu = simulate_imu(foot, truth, NoiseModel(0.06, RATE, seed=21))
+        imu = simulate_imu(foot, truth, NoiseModel(0.06, seed=21))
         cov = covariance_set(imu, foot)
         u, _, vt = np.linalg.svd(cov.sigma_fi)
         kabsch = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
@@ -336,7 +337,7 @@ class TestEstimateRotation:
 class TestCalibrate:
     def test_noiseless_identity_round_trip(self, foot_series):
         truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         result = calibrate(imu, foot_series, options())
         np.testing.assert_allclose(result.rotation, np.eye(3), atol=1e-9)
         assert abs(result.time_offset) <= 1e-9 / RATE
@@ -349,14 +350,14 @@ class TestCalibrate:
         # within rounding (the parabolic refinement is not grid-valued)
         rng = np.random.default_rng(seed)
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.0, RATE))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         result = calibrate(imu, foot_series, options())
         assert abs(result.time_offset - truth.time_offset) <= 1e-9 / RATE
         assert rotation_error(result.rotation, truth.euler_deg).degrees <= 1e-6
 
     def test_noisy_truth_recovery(self, foot_series):
         truth = GroundTruth.from_euler_deg(33.0, -21.0, 95.0, time_offset=0.042)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, RATE, seed=5))
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=5))
         result = calibrate(imu, foot_series, options())
         assert rotation_error(result.rotation, truth.euler_deg).degrees <= 1.0
         assert abs(result.time_offset - truth.time_offset) <= 0.002
@@ -369,7 +370,7 @@ class TestCalibrate:
             errors = []
             for seed in range(20):
                 imu = simulate_imu(foot_series, truth,
-                                   NoiseModel(density, RATE, seed=1000 + seed))
+                                   NoiseModel(density, seed=1000 + seed))
                 result = calibrate(imu, foot_series, options())
                 errors.append(rotation_error(result.rotation, truth.euler_deg).degrees)
             medians.append(float(np.median(errors)))
@@ -379,8 +380,15 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(foot_series, foot_series, options())
 
-    def test_result_requires_correlation_at_scan_maximum(self):
-        scan = np.array([[0.0, 0.4], [0.001, 0.6]])
-        with pytest.raises(ValueError):
-            CalibrationResult(rotation=np.eye(3), time_offset=0.0, correlation=0.4,
-                              condition_number=1.0, offset_scan=scan)
+    def test_correlation_is_scan_maximum(self):
+        # failed lags are NaN in the scan and do not count
+        scan = np.array([[-0.002, np.nan], [0.0, 0.4], [0.002, 0.6]])
+        result = CalibrationResult(rotation=np.eye(3), time_offset=0.002,
+                                   condition_number=1.0, offset_scan=scan)
+        assert result.correlation == 0.6
+
+    def test_result_requires_a_finite_correlation(self):
+        scan = np.array([[0.0, np.nan], [0.002, np.nan]])
+        with pytest.raises(ValueError, match="finite correlation"):
+            CalibrationResult(rotation=np.eye(3), time_offset=0.0, condition_number=1.0,
+                              offset_scan=scan)

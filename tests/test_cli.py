@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from footcalib import default_experiment_config
+from footcalib import default_experiment_config, period_samples
 from footcalib.cli import main
 from footcalib.harness import config_to_dict
 from footcalib.io import read_measurements, read_rows_csv, read_trajectory
@@ -36,7 +36,7 @@ class TestPipeline:
 
     def test_trajectory_spans_one_closed_period(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "basis_spec.json").read_text())
-        n = int(round(doc["T"] * 500.0))
+        n = period_samples(doc["T"], 500.0)
         traj = read_trajectory(pipeline_dir / "trajectory.csv")
         assert len(traj) == n + 1
         assert traj.time_grid[0] == 0.0
@@ -77,6 +77,19 @@ class TestOptimizeCommand:
         assert len(warning) == 1 and warning[0].startswith("warning:")
         assert (tmp_path / "trajectory.csv").exists()
         assert json.loads((tmp_path / "basis_spec.json").read_text())["converged"] is False
+
+
+@pytest.mark.parametrize("command", ["optimize", "theorem-check"])
+def test_partial_period_rejected(tmp_path, capsys, command):
+    # 8 * 0.0501 s at 500 Hz is 200.4 samples: the optimized trajectory
+    # would not close and no basis covariance would be diagonal
+    code = main([command, "--t-r", "0.0501", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError"
+    assert "0.4008 s" in error["message"] and "500.0 Hz" in error["message"]
+    assert not (tmp_path / "out").exists()
 
 
 class TestMatrixCommand:

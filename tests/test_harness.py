@@ -8,12 +8,14 @@ from scipy.spatial.transform import Rotation
 
 from footcalib import (
     BasisSpec,
-    GaitParams,
+    ExperimentConfig,
+    GaitKind,
     GroundTruth,
     Motion,
     NoiseModel,
     OffsetSearch,
     OptimizerConfig,
+    baseline_gait,
     default_experiment_config,
     harness,
     rotation_error,
@@ -82,6 +84,30 @@ class TestConfig:
         assert len(set(eulers)) == 4
         for truth in truths.values():
             assert abs(truth.time_offset) <= 0.1
+
+    def test_default_truths_stay_in_a_narrow_search_range(self, tmp_path):
+        # the offsets were drawn within ±0.1 s whatever the search range, so
+        # a narrower one rejected the defaults: "|time offset| 0.086 exceeds
+        # the search range 0.05"
+        config = config_from_dict({"optimizer": {"offset_range": 0.05}, "motions": ["walk"]},
+                                  output_dir=tmp_path / "out")
+        for truth in config.truths.values():
+            assert abs(truth.time_offset) <= 0.05
+            samples = truth.time_offset * 500.0
+            assert samples == pytest.approx(round(samples), abs=1e-9)
+
+    def test_a2i_partial_period_rejected(self, tmp_path):
+        # 8 * 0.0501 s at 500 Hz is 200.4 samples: the a2i trajectory cannot
+        # close, and its covariance is not diagonal
+        optimizer = OptimizerConfig(offset_range=0.0501)
+        fields = dict(geometry=calibration_geometry(),
+                      truths={"FL": GroundTruth(rotation=np.eye(3), time_offset=0.0)},
+                      noise_densities=(0.006,), optimizer=optimizer, seeds=(0,),
+                      output_dir=tmp_path / "out")
+        with pytest.raises(ValueError, match="not a whole number"):
+            ExperimentConfig(motions=(Motion.A2I, Motion.WALK), **fields)
+        # the gaits have no whole-period requirement
+        assert ExperimentConfig(motions=(Motion.WALK,), **fields).optimizer is optimizer
 
     def test_calibration_geometry_contains_zero_posture(self):
         geometry = calibration_geometry()
@@ -175,9 +201,9 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("build", [
-    lambda: NoiseModel(density=math.nan, sample_rate=500.0),
-    lambda: NoiseModel(density=math.inf, sample_rate=500.0),
-    lambda: NoiseModel(density=0.006, sample_rate=math.nan),
+    lambda: NoiseModel(density=math.nan),
+    lambda: NoiseModel(density=math.inf),
+    lambda: baseline_gait(GaitKind.WALK, math.nan),
     lambda: OptimizerConfig(kappa_objective=math.nan),
     lambda: OptimizerConfig(kappa_objective=math.inf),
     lambda: OptimizerConfig(max_iterations=math.nan),
@@ -190,14 +216,12 @@ class TestConfig:
     lambda: config_from_dict({"noise_densities": [math.inf]}),
     lambda: GroundTruth(rotation=np.full((3, 3), math.nan), time_offset=0.0),
     lambda: OffsetSearch(offset_range=math.nan),
-    lambda: GaitParams(duration=math.nan),
     lambda: BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                       base_frequency=math.inf, period=2.0),
 ], ids=["density-nan", "density-inf", "sample-rate-nan", "kappa-nan", "kappa-inf",
         "max-iterations-nan", "step-nan", "step-inf",
         "imu-frequency-inf", "offset-range-nan", "offset-range-inf", "matrix-density-nan",
-        "matrix-density-inf", "rotation-nan", "search-range-nan", "gait-duration-nan",
-        "base-frequency-inf"])
+        "matrix-density-inf", "rotation-nan", "search-range-nan", "base-frequency-inf"])
 def test_nonfinite_input_rejected(build):
     # a NaN fails every comparison, so each check must be written to pass
     # only finite values

@@ -10,6 +10,7 @@ from footcalib import (
     JointTrajectory,
     LegGeometry,
     eval_basis,
+    period_samples,
     trajectory_to_foot_velocity,
 )
 
@@ -73,7 +74,7 @@ class TestTrajectoryToFootVelocity:
         rate = 500.0
         spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                          base_frequency=math.pi, period=2.0)
-        n = int(round(spec.period * rate))
+        n = period_samples(spec.period, rate)
         traj = eval_basis(spec, np.arange(n) / rate)
         series = trajectory_to_foot_velocity(traj)
         tol = 10 * np.finfo(float).eps * n

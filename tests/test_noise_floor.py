@@ -24,6 +24,7 @@ from footcalib import (
     eval_basis,
     initial_basis_spec,
     optimize,
+    period_samples,
     random_ground_truth,
     simulate_imu,
     trajectory_to_foot_velocity,
@@ -33,7 +34,7 @@ from footcalib.harness import _child_seed
 from footcalib.optimizer import sample_covariance
 
 RATE = 500.0
-WINDOW = 1000
+WINDOW = period_samples(OptimizerConfig().period, RATE)  # one period
 SEEDS = range(100)
 
 
@@ -43,7 +44,7 @@ def fl_a2i_series():
     config = OptimizerConfig()
     result = optimize(initial_basis_spec(config, seed=_child_seed(config.seed, 1, 0, 1, 0)),
                       config, calibration_geometry())
-    grid = np.arange(2 * int(round(result.spec.period * RATE)) + 1) / RATE
+    grid = np.arange(2 * period_samples(result.spec.period, RATE) + 1) / RATE
     return trajectory_to_foot_velocity(eval_basis(result.spec, grid))
 
 
@@ -54,7 +55,7 @@ def test_rotation_error_at_noise_floor(fl_a2i_series, index, density):
     td_errors = []
     for seed in SEEDS:
         truth = random_ground_truth(np.random.default_rng(seed), 0.1, grid_step=1 / RATE)
-        noise = NoiseModel(density, RATE, seed=1000 * index + seed)
+        noise = NoiseModel(density, seed=1000 * index + seed)
         imu = simulate_imu(fl_a2i_series, truth, noise)
         result = calibrate(imu, fl_a2i_series, options)
         errors.append(Rotation.from_matrix(result.rotation @ truth.rotation.T).as_rotvec())
@@ -66,7 +67,7 @@ def test_rotation_error_at_noise_floor(fl_a2i_series, index, density):
                             options.offset_range, WINDOW)
     window = fl_a2i_series.samples[i0:i1]
     s = np.diag(sample_covariance(window))
-    sigma = NoiseModel(density, RATE).sigma_rad_s
+    sigma = math.radians(density) * math.sqrt(RATE)
     predicted = np.sqrt(sigma ** 2 / (4 * (WINDOW - 1))
                         * np.array([1 / s[1] + 1 / s[2], 1 / s[0] + 1 / s[2],
                                     1 / s[0] + 1 / s[1]]))

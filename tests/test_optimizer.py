@@ -11,19 +11,23 @@ from footcalib import (
     Motion,
     OptimizerConfig,
     condition_number,
-    derive_schedule,
     eval_basis,
     harness,
     initial_basis_spec,
     loss_gradient,
-    one_period_grid,
     optimize,
+    period_samples,
     trajectory_loss,
     trajectory_to_foot_velocity,
 )
 from footcalib.calibrate import require_invertible
-from footcalib.optimizer import sample_covariance
+from footcalib.optimizer import diagonality_ratio, sample_covariance
 from conftest import brute_force_pair_covariance
+
+
+def one_period(spec, rate):
+    """Half-open grid t = 0 .. T - 1/rate over one period of ``spec``."""
+    return np.arange(period_samples(spec.period, rate)) / rate
 
 
 def fd_gradient(spec, config, geometry, epsilon=1e-6):
@@ -54,7 +58,7 @@ def reference_descent(initial, config, geometry):
     Returns (final params, kappa history, iterations)."""
     n = initial.harmonic_count
     w = initial.angular_frequencies
-    grid = one_period_grid(initial, config.imu_frequency)
+    grid = one_period(initial, config.imu_frequency)
     phase = np.outer(w, grid)
     sin_ph, cos_ph = np.sin(phase), np.cos(phase)
     zeros = np.zeros(n)
@@ -144,23 +148,46 @@ def reference_descent(initial, config, geometry):
 
 
 class TestDeriveSchedule:
+    """The time base an ``OptimizerConfig`` derives from its sample rate and offset range."""
+
     def test_reference_schedule(self):
-        sched = derive_schedule(500.0, 0.25)
-        assert sched.base_frequency == pytest.approx(math.pi, rel=1e-15)
-        assert sched.period == pytest.approx(2.0, rel=1e-15)
-        assert len(sched.time_grid) == 1001
-        np.testing.assert_allclose(np.diff(sched.time_grid), 1 / 500.0, rtol=1e-12)
+        config = OptimizerConfig()
+        assert config.base_frequency == pytest.approx(math.pi, rel=1e-15)
+        assert config.period == pytest.approx(2.0, rel=1e-15)
+        assert period_samples(config.period, config.imu_frequency) == 1000
+        spec = initial_basis_spec(config)
+        assert (spec.base_frequency, spec.period) == (config.base_frequency, config.period)
 
     def test_slow_imu_schedule(self):
-        sched = derive_schedule(100.0, 0.5)
-        assert sched.base_frequency == pytest.approx(math.pi / 2, rel=1e-15)
-        assert sched.period == pytest.approx(4.0, rel=1e-15)
-        assert len(sched.time_grid) == 401
+        config = OptimizerConfig(imu_frequency=100.0, offset_range=0.5)
+        assert config.base_frequency == pytest.approx(math.pi / 2, rel=1e-15)
+        assert config.period == pytest.approx(4.0, rel=1e-15)
+        assert period_samples(config.period, config.imu_frequency) == 400
 
     @pytest.mark.parametrize("imu_freq, t_r", [(500.0, 0.0), (0.0, 0.25), (500.0, -1.0)])
     def test_nonpositive_inputs_rejected(self, imu_freq, t_r):
         with pytest.raises(ValueError):
-            derive_schedule(imu_freq, t_r)
+            OptimizerConfig(imu_frequency=imu_freq, offset_range=t_r)
+
+    def test_whole_to_relative_tolerance(self):
+        # 8 * 0.145 * 200 is 231.99999999999997 in floating point
+        assert period_samples(8 * 0.145, 200.0) == 232
+        assert period_samples(2.0 * (1 + 1e-12), 500.0) == 1000
+        with pytest.raises(ValueError):
+            period_samples(2.0 * (1 + 1e-8), 500.0)
+
+    @pytest.mark.parametrize("imu_freq, t_r", [(500.0, 0.0501), (333.3, 0.25), (500.0, 0.00025)])
+    def test_partial_period_rejected(self, imu_freq, t_r, cal_geometry):
+        # 200.4 and 666.6 samples are not whole; one sample is too few
+        config = OptimizerConfig(imu_frequency=imu_freq, offset_range=t_r)
+        with pytest.raises(ValueError, match="not a whole number of at least 2"):
+            initial_basis_spec(config)
+        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
+                         base_frequency=config.base_frequency, period=config.period)
+        with pytest.raises(ValueError, match="not a whole number of at least 2"):
+            diagonality_ratio(spec, imu_freq)
+        with pytest.raises(ValueError, match="not a whole number of at least 2"):
+            trajectory_loss(spec, config, cal_geometry)
 
 
 class TestEvalBasis:
@@ -225,7 +252,7 @@ class TestAutoCovariance:
         rate = 500.0
         spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                          base_frequency=math.pi, period=2.0)
-        traj = eval_basis(spec, one_period_grid(spec, rate))
+        traj = eval_basis(spec, one_period(spec, rate))
         series = trajectory_to_foot_velocity(traj)
         sigma = sample_covariance(series.samples)
         off = max(abs(sigma[0, 1]), abs(sigma[0, 2]), abs(sigma[1, 2]))
@@ -281,7 +308,7 @@ class TestTrajectoryLoss:
         spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
                          base_frequency=math.pi, period=2.0)
         report = trajectory_loss(spec, config, cal_geometry)
-        traj = eval_basis(spec, one_period_grid(spec, config.imu_frequency))
+        traj = eval_basis(spec, one_period(spec, config.imu_frequency))
         series = trajectory_to_foot_velocity(traj)
         sigma = brute_force_pair_covariance(series.samples, series.samples)
         eigenvalues = np.linalg.eigvalsh(sigma)
@@ -291,7 +318,7 @@ class TestTrajectoryLoss:
         config = OptimizerConfig()
         for seed in range(5):
             spec = initial_basis_spec(config, seed=seed, calf_share=0.3)
-            traj = eval_basis(spec, one_period_grid(spec, config.imu_frequency))
+            traj = eval_basis(spec, one_period(spec, config.imu_frequency))
             omega = trajectory_to_foot_velocity(traj).samples
             report = trajectory_loss(spec, config, cal_geometry)
             assert report.kappa == condition_number(sample_covariance(omega))

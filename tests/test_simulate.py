@@ -14,17 +14,18 @@ from footcalib import (
     AngularVelocitySeries,
     Frame,
     GaitKind,
-    GaitParams,
     GroundTruth,
     NoiseModel,
     baseline_gait,
     condition_number,
+    period_samples,
     random_ground_truth,
     simulate_imu,
     trajectory_to_foot_velocity,
 )
 from footcalib.optimizer import sample_covariance
-from footcalib.simulate import euler_deg_to_matrix, matrix_to_euler_deg, quaternion_to_matrix
+from footcalib.simulate import (GAIT_PERIOD, euler_deg_to_matrix, matrix_to_euler_deg,
+                                quaternion_to_matrix)
 
 
 def smooth_series(n=2001, rate=500.0):
@@ -104,21 +105,32 @@ class TestRotationHelpers:
 
 class TestNoiseModel:
     def test_sigma_conversion(self):
-        noise = NoiseModel(density=0.06, sample_rate=500.0)
-        assert noise.sigma_rad_s == pytest.approx(math.radians(0.06) * math.sqrt(500.0))
+        # the per-sample std is density * sqrt(rate) in rad/s, at the
+        # series' own rate
+        n = 50
+        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        for rate in (500.0, 200.0):
+            foot = AngularVelocitySeries(np.arange(n) / rate, np.zeros((n, 3)),
+                                         Frame.FOOT_KINEMATIC)
+            imu = simulate_imu(foot, truth, NoiseModel(density=0.06, seed=3))
+            expected = np.random.default_rng(3).normal(
+                0.0, math.radians(0.06) * math.sqrt(rate), (n, 3))
+            np.testing.assert_allclose(imu.samples, expected, rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NoiseModel(density=-0.1, sample_rate=500.0)
-        with pytest.raises(ValueError):
-            NoiseModel(density=0.1, sample_rate=0.0)
+            NoiseModel(density=-0.1)
+        # the noise rate is the series' own; a rate in the old second
+        # position must not pass as a seed
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(0.006, 500.0)
 
 
 class TestSimulateImu:
     def test_identity_noiseless_is_exact(self):
         foot = smooth_series()
         truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
-        imu = simulate_imu(foot, truth, NoiseModel(0.0, 500.0))
+        imu = simulate_imu(foot, truth, NoiseModel(0.0))
         assert imu.frame is Frame.FOOT_IMU
         np.testing.assert_array_equal(imu.samples, foot.samples)
         np.testing.assert_array_equal(imu.time_grid, foot.time_grid)
@@ -128,7 +140,7 @@ class TestSimulateImu:
         t = np.arange(n) / 500.0
         foot = AngularVelocitySeries(t, np.tile([1.0, 0.0, 0.0], (n, 1)), Frame.FOOT_KINEMATIC)
         truth = GroundTruth.from_euler_deg(0.0, 0.0, 90.0)
-        imu = simulate_imu(foot, truth, NoiseModel(0.0, 500.0))
+        imu = simulate_imu(foot, truth, NoiseModel(0.0))
         expected = truth.rotation.T @ np.array([1.0, 0.0, 0.0])
         np.testing.assert_allclose(imu.samples, np.tile(expected, (n, 1)), atol=1e-15)
 
@@ -137,7 +149,7 @@ class TestSimulateImu:
         t = np.arange(n) / 500.0
         foot = AngularVelocitySeries(t, np.zeros((n, 3)), Frame.FOOT_KINEMATIC)
         truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
-        noise = NoiseModel(density=0.06, sample_rate=500.0, seed=17)
+        noise = NoiseModel(density=0.06, seed=17)
         imu = simulate_imu(foot, truth, noise)
         target = math.radians(0.06) * math.sqrt(500.0)
         for axis in range(3):
@@ -148,7 +160,7 @@ class TestSimulateImu:
         t = np.arange(n) / 500.0
         foot = AngularVelocitySeries(t, np.zeros((n, 3)), Frame.FOOT_KINEMATIC)
         truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
-        imu = simulate_imu(foot, truth, NoiseModel(0.03, 500.0, seed=4))
+        imu = simulate_imu(foot, truth, NoiseModel(0.03, seed=4))
         for axis in range(3):
             x = imu.samples[:, axis]
             x = x - x.mean()
@@ -158,7 +170,7 @@ class TestSimulateImu:
     def test_same_seed_bit_identical(self):
         foot = smooth_series()
         truth = GroundTruth.from_euler_deg(10.0, -20.0, 35.0, time_offset=0.004)
-        noise = NoiseModel(0.03, 500.0, seed=99)
+        noise = NoiseModel(0.03, seed=99)
         first = simulate_imu(foot, truth, noise)
         second = simulate_imu(foot, truth, noise)
         np.testing.assert_array_equal(first.samples, second.samples)
@@ -167,7 +179,7 @@ class TestSimulateImu:
         foot = smooth_series()
         t_d = 0.0073  # deliberately off-grid
         truth = GroundTruth.from_euler_deg(25.0, -40.0, 110.0, time_offset=t_d)
-        imu = simulate_imu(foot, truth, NoiseModel(0.0, 500.0))
+        imu = simulate_imu(foot, truth, NoiseModel(0.0))
         recovered = imu.samples @ truth.rotation.T  # R applied to each sample
         t = foot.time_grid
         expected = np.column_stack([
@@ -176,31 +188,25 @@ class TestSimulateImu:
         interior = (t - t_d >= t[0]) & (t - t_d <= t[-1])
         np.testing.assert_allclose(recovered[interior], expected[interior], atol=1e-12)
 
-    def test_sample_rate_mismatch_rejected(self):
-        foot = smooth_series(rate=500.0)
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
-        with pytest.raises(ValueError):
-            simulate_imu(foot, truth, NoiseModel(0.0, 400.0))
-
     def test_rejects_imu_frame_input(self):
         series = AngularVelocitySeries(np.arange(10) / 500.0, np.zeros((10, 3)), Frame.FOOT_IMU)
         truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
         with pytest.raises(ValueError):
-            simulate_imu(series, truth, NoiseModel(0.0, 500.0))
+            simulate_imu(series, truth, NoiseModel(0.0))
 
 
 class TestBaselineGait:
     def test_wave_is_single_joint(self):
-        traj = baseline_gait(GaitKind.WAVE, GaitParams())
+        traj = baseline_gait(GaitKind.WAVE)
         assert np.ptp(traj.theta_hip) < 0.02
         assert np.ptp(traj.theta_calf) < 0.02
         assert np.ptp(traj.theta_thigh) == pytest.approx(0.8, abs=0.01)
 
     @pytest.mark.parametrize("kind", list(GaitKind))
     def test_two_cycles_are_exactly_periodic(self, kind):
-        params = GaitParams(period=1.0, duration=2.0, sample_rate=500.0)
-        traj = baseline_gait(kind, params)
-        shift = int(round(params.period * params.sample_rate))
+        rate = 500.0
+        traj = baseline_gait(kind, rate)
+        shift = period_samples(GAIT_PERIOD, rate)
         for name in ("theta_hip", "theta_thigh", "theta_calf",
                      "dtheta_hip", "dtheta_thigh", "dtheta_calf"):
             values = getattr(traj, name)
@@ -213,7 +219,6 @@ class TestBaselineGait:
         assert condition_number(sigma) > 50.0
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            GaitParams(period=0.0)
-        with pytest.raises(ValueError):
-            GaitParams(duration=-1.0)
+        for rate in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="sample_rate"):
+                baseline_gait(GaitKind.WALK, rate)
