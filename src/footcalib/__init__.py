@@ -8,7 +8,6 @@ extrinsic rotation and time offset by correlation analysis.
 """
 
 from .calibrate import (
-    CalibrationOptions,
     CalibrationResult,
     CovarianceSet,
     OffsetEstimate,

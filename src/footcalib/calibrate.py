@@ -35,21 +35,34 @@ def is_proper_rotation(matrix: np.ndarray) -> bool:
 def _singular(sigma: np.ndarray) -> np.ndarray:
     """Per stacked symmetric 3x3 matrix: smallest singular value below 1e-12 of the largest, or all zero.
 
-    The singular values of a symmetric matrix are its absolute eigenvalues,
-    which ``eigvalsh`` computes more cheaply than an SVD.
+    This is the ``require_excited`` floor for the per-lag S_II stack, where
+    a singular lag scores NaN instead of raising. The singular values of a
+    symmetric matrix are its absolute eigenvalues, which ``eigvalsh``
+    computes more cheaply than an SVD.
     """
     s = np.abs(np.linalg.eigvalsh(sigma))
     largest = s.max(axis=-1)
     return (largest == 0.0) | (s.min(axis=-1) < 1e-12 * largest)
 
 
-def require_invertible(sigma: np.ndarray, name: str) -> None:
-    """Raise if an auto-covariance is singular at the 1e-12 relative singular-value floor."""
-    if _singular(sigma):
-        raise IllConditionedError(
-            f"{name} is singular at the 1e-12 relative floor; "
-            "the motion is insufficiently excited"
-        )
+def require_excited(sigma: np.ndarray, name: str) -> None:
+    """Raise unless a 3x3 auto-covariance clears the 1e-12 relative singular-value floor.
+
+    Two or more singular values below the floor raise RankDeficiencyError,
+    one raises IllConditionedError; both name the axis the weakest singular
+    vector lies closest to.
+    """
+    u, sv, _ = np.linalg.svd(sigma)
+    vanishing = int(np.sum(sv < 1e-12 * sv[0])) if sv[0] > 0.0 else 3
+    if vanishing == 0:
+        return
+    axis = _AXES[int(np.argmax(np.abs(u[:, -1])))]
+    if vanishing >= 2:
+        raise RankDeficiencyError(
+            f"{name} has {vanishing} vanishing singular values; weakest excitation along {axis}",
+            axis=axis)
+    raise IllConditionedError(
+        f"{name} is singular at the 1e-12 relative floor; insufficient excitation along {axis}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +82,7 @@ class CovarianceSet:
 def _require_aligned(imu: AngularVelocitySeries, foot: AngularVelocitySeries) -> None:
     if len(imu) != len(foot):
         raise ValueError(f"length mismatch: {len(imu)} vs {len(foot)}")
-    span = max(foot.span, 1e-300)
-    if np.abs(imu.time_grid - foot.time_grid).max() > 1e-9 * span:
+    if np.abs(imu.time_grid - foot.time_grid).max() > 1e-9 * foot.span:
         raise ValueError("series grids are not aligned")
 
 
@@ -80,8 +92,6 @@ def covariance_set(imu_shifted: AngularVelocitySeries, foot: AngularVelocitySeri
     Sample-mean centring with 1/(N-1) normalization; the foot-IMU cross
     matrix is exactly the transpose of the IMU-foot one.
     """
-    if len(foot) < 2:
-        raise ValueError("need at least 2 samples")
     _require_aligned(imu_shifted, foot)
     return CovarianceSet(sigma_ii=sample_covariance(imu_shifted.samples),
                          sigma_ff=sample_covariance(foot.samples),
@@ -109,8 +119,8 @@ def trace_correlation(cov: CovarianceSet) -> float:
     r = sqrt(Tr(S_II^-1 S_IF S_FF^-1 S_FI) / 3), clamped to [0, 1]. A
     warning is emitted if the raw value falls outside by more than 1e-9.
     """
-    require_invertible(cov.sigma_ii, "sigma_ii")
-    require_invertible(cov.sigma_ff, "sigma_ff")
+    require_excited(cov.sigma_ii, "sigma_ii")
+    require_excited(cov.sigma_ff, "sigma_ff")
     return float(_trace_correlation(cov.sigma_ii[None], cov.sigma_ff, cov.sigma_if[None])[0])
 
 
@@ -234,7 +244,7 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
     i0, i1 = _paired_window(imu, foot, dt, search.offset_range, window_samples)
     foot_window = foot.samples[i0:i1]
     sigma_ff = sample_covariance(foot_window)
-    require_invertible(sigma_ff, "sigma_ff")
+    require_excited(sigma_ff, "sigma_ff")
 
     n = int(math.floor(search.offset_range / dt + 1e-9))
     lags = np.arange(-n, n + 1)
@@ -260,37 +270,17 @@ def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
     rotation-related streams that map is the mounting rotation itself, so
     the result reproduces it exactly and minimizes
     sum ||R w_imu - w_foot||^2; with noise it is in general not the
-    rotation minimizing that residual.
+    rotation minimizing that residual. A foot covariance below the
+    ``require_excited`` floor raises the error that names its weak axis.
     """
-    s_ff = cov.sigma_ff
-    sv = np.linalg.svd(s_ff, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
-        weak = np.linalg.svd(s_ff)[0][:, -1]
-        axis = _AXES[int(np.argmax(np.abs(weak)))]
-        if sv[1] < 1e-12 * sv[0]:
-            raise RankDeficiencyError(
-                f"foot covariance has two vanishing singular values; "
-                f"weakest excitation along {axis}", axis=axis)
-        raise IllConditionedError(
-            f"foot covariance is singular; insufficient excitation along {axis}")
-    m = np.linalg.solve(s_ff, cov.sigma_fi)
+    require_excited(cov.sigma_ff, "sigma_ff")
+    m = np.linalg.solve(cov.sigma_ff, cov.sigma_fi)
     u, _, vt = np.linalg.svd(m)
     d = np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))])
     rotation = u @ d @ vt
     if not is_proper_rotation(rotation):
         raise IllConditionedError("rotation estimate failed the orthogonality check")
     return rotation
-
-
-@dataclass(frozen=True)
-class CalibrationOptions:
-    """Settings for the combined offset + rotation calibration.
-
-    The offset scan steps one sample of the foot series at a time.
-    """
-
-    offset_range: float = 0.25
-    window_samples: int | None = None  # analysis window; None = full valid span
 
 
 @dataclass(frozen=True)
@@ -323,19 +313,21 @@ class CalibrationResult:
 
 
 def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
-              options: CalibrationOptions | None = None) -> CalibrationResult:
+              search: OffsetSearch = OffsetSearch(0.25),
+              window_samples: int | None = None) -> CalibrationResult:
     """Full spatial-temporal calibration of an IMU/foot series pair.
 
-    Runs the offset scan and estimates the extrinsic rotation from the
-    covariance set at the refined offset, on the same analysis window.
+    Runs the offset scan of ``estimate_time_offset`` over ``search`` on the
+    analysis window of ``window_samples`` (None: the full valid span), and
+    estimates the extrinsic rotation from the covariance set at the refined
+    offset on that window. A foot motion that leaves two axes unexcited
+    raises RankDeficiencyError naming the weakest one.
     """
-    options = options or CalibrationOptions()
     if imu.frame is not Frame.FOOT_IMU or foot.frame is not Frame.FOOT_KINEMATIC:
         raise ValueError(
             f"expected (FootIMU, FootKinematic) series, got ({imu.frame}, {foot.frame})"
         )
-    search = OffsetSearch(offset_range=options.offset_range)
-    estimate = estimate_time_offset(imu, foot, search, window_samples=options.window_samples)
+    estimate = estimate_time_offset(imu, foot, search, window_samples=window_samples)
     cov = estimate.covariance
     return CalibrationResult(
         rotation=estimate_rotation(cov),

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, io
-from .calibrate import CalibrationOptions, calibrate
+from .calibrate import OffsetSearch, calibrate
 from .kinematics import trajectory_to_foot_velocity
 from .optimizer import (
     OptimizerConfig,
@@ -130,7 +130,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     imu = io.read_measurements(args.imu)
     foot = io.read_measurements(args.foot)
-    result = calibrate(imu, foot, CalibrationOptions(offset_range=args.t_r))
+    result = calibrate(imu, foot, OffsetSearch(args.t_r))
     args.out.mkdir(parents=True, exist_ok=True)
     io.write_calibration_report(args.out / "calibration_report.json", result)
     print(f"t_d={result.time_offset * 1e3:.3f} ms  r={result.correlation:.4f}  "

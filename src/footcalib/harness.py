@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .calibrate import CalibrationOptions, calibrate, is_proper_rotation
+from .calibrate import OffsetSearch, calibrate, is_proper_rotation
 from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
-from .optimizer import (OptimizerConfig, eval_basis, initial_basis_spec, optimize, period_samples,
-                        require_limits_contain_zero)
+from .optimizer import (OptimizerConfig, eval_basis, initial_basis_spec, is_count, optimize,
+                        period_samples, require_limits_contain_zero)
 from .simulate import (GaitKind, GroundTruth, NoiseModel, baseline_gait, euler_deg_to_matrix,
                        matrix_to_euler_deg, random_ground_truth, simulate_imu)
 from . import io as fio
@@ -104,6 +104,8 @@ class ExperimentConfig:
         # a shared density code or a repeated seed would give two cells one noise seed
         if len({_density_code(d) for d in self.noise_densities}) < len(self.noise_densities):
             raise ValueError("noise densities must differ when rounded to 1e-9")
+        if not all(is_count(s) for s in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers, got {list(self.seeds)}")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be distinct")
         if Motion.A2I in self.motions:
@@ -136,9 +138,9 @@ def default_truths(base_seed: int = 0,
 
 def default_experiment_config(output_dir, base_seed: int = 0,
                               noise_densities=(0.006, 0.03, 0.06),
-                              motions=(Motion.A2I, Motion.WALK, Motion.SPIN, Motion.WAVE),
-                              seeds=tuple(range(20)),
+                              motions=tuple(Motion), seeds=tuple(range(20)),
                               optimizer: OptimizerConfig | None = None) -> ExperimentConfig:
+    """The default matrix, and the values ``config_from_dict`` gives missing sections."""
     optimizer = optimizer or OptimizerConfig(seed=base_seed)
     return ExperimentConfig(
         geometry=calibration_geometry(),
@@ -268,8 +270,7 @@ def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float
     imu = simulate_imu(foot_series, truth, NoiseModel(density=density, seed=noise_seed))
     # an a2i cell is calibrated on one period, away from the data edges
     window = period_samples(opt.period, opt.imu_frequency) if motion is Motion.A2I else None
-    result = calibrate(imu, foot_series,
-                       CalibrationOptions(offset_range=opt.offset_range, window_samples=window))
+    result = calibrate(imu, foot_series, OffsetSearch(opt.offset_range), window)
     err = rotation_error(result.rotation, truth.euler_deg)
     metrics = dict(
         cn=result.condition_number,
@@ -394,13 +395,22 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
-    """Build a config from a JSON document; missing sections take the defaults.
+    """Build a config from a JSON document.
 
-    A ``geometry.twists`` entry, which older documents carry, must be the
-    leg's fixed modified-DH twists (0, -pi/2, 0, 0) to 1e-12; the foot
-    velocity map is defined for no other set, so any other value raises
-    ValueError here.
+    Missing sections take the values of ``default_experiment_config`` for
+    the document's optimizer seed. A ``geometry.twists`` entry, which older
+    documents carry, must be the leg's fixed modified-DH twists
+    (0, -pi/2, 0, 0) to 1e-12; the foot velocity map is defined for no
+    other set, so any other value raises ValueError here.
     """
+    optimizer = OptimizerConfig(**doc.get("optimizer", {}))
+    lists = {name: tuple(doc[name]) for name in ("noise_densities", "seeds") if name in doc}
+    if "motions" in doc:
+        lists["motions"] = tuple(Motion(m.lower()) for m in doc["motions"])
+    config = default_experiment_config(
+        output_dir if output_dir is not None else doc.get("output_dir", "matrix-out"),
+        base_seed=optimizer.seed, optimizer=optimizer, **lists)
+    sections = {}
     if "geometry" in doc:
         g = doc["geometry"]
         if "twists" in g:
@@ -408,31 +418,16 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
             if not (twists.shape == (4,)
                     and np.all(np.abs(twists - (0.0, -math.pi / 2, 0.0, 0.0)) <= 1e-12)):
                 raise ValueError(f"geometry.twists must be (0, -pi/2, 0, 0), got {g['twists']}")
-        geometry = LegGeometry(
+        sections["geometry"] = LegGeometry(
             hip_limits=tuple(g["hip_limits"]),
             thigh_limits=tuple(g["thigh_limits"]),
             calf_limits=tuple(g["calf_limits"]),
         )
-    else:
-        geometry = calibration_geometry()
-    optimizer = OptimizerConfig(**doc.get("optimizer", {}))
     if "truths" in doc:
-        truths = {foot: GroundTruth.from_euler_deg(*spec["euler_deg"],
-                                                   time_offset=spec.get("t_d_s", 0.0))
-                  for foot, spec in doc["truths"].items()}
-    else:
-        truths = default_truths(optimizer.seed, optimizer)
-    return ExperimentConfig(
-        geometry=geometry,
-        truths=truths,
-        noise_densities=tuple(doc.get("noise_densities", (0.006, 0.03, 0.06))),
-        motions=tuple(Motion(m.lower()) for m in doc.get(
-            "motions", [m.value for m in Motion])),
-        optimizer=optimizer,
-        seeds=tuple(doc.get("seeds", range(20))),
-        output_dir=Path(output_dir if output_dir is not None
-                        else doc.get("output_dir", "matrix-out")),
-    )
+        sections["truths"] = {foot: GroundTruth.from_euler_deg(*spec["euler_deg"],
+                                                               time_offset=spec.get("t_d_s", 0.0))
+                              for foot, spec in doc["truths"].items()}
+    return replace(config, **sections)
 
 
 def save_config(path, config: ExperimentConfig) -> None:

@@ -14,7 +14,7 @@ angle and the combined thigh+calf rate:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -60,6 +60,21 @@ def _as_float_array(name: str, values) -> np.ndarray:
     return arr
 
 
+def _grid_spacing(time_grid: np.ndarray) -> float:
+    """Spacing of a time grid, raising unless it has at least 2 samples, is
+    strictly increasing and is uniform to one part in 1e9."""
+    n = len(time_grid)
+    if n < 2:
+        raise ValueError("time grid needs at least 2 samples")
+    diffs = np.diff(time_grid)
+    dt = (time_grid[-1] - time_grid[0]) / (n - 1)
+    if dt <= 0 or np.any(diffs <= 0):
+        raise ValueError("time grid must be strictly increasing")
+    if np.max(np.abs(diffs - dt)) > 1e-9 * dt:
+        raise ValueError("time grid spacing must be uniform to 1 part in 1e9")
+    return float(dt)
+
+
 @dataclass(frozen=True)
 class JointTrajectory:
     """Time-gridded joint angles and angular velocities for one leg.
@@ -81,18 +96,11 @@ class JointTrajectory:
                      "dtheta_hip", "dtheta_thigh", "dtheta_calf"):
             object.__setattr__(self, name, _as_float_array(name, getattr(self, name)))
         n = len(self.time_grid)
-        if n < 2:
-            raise ValueError("trajectory needs at least 2 samples")
         for name in ("theta_hip", "theta_thigh", "theta_calf",
                      "dtheta_hip", "dtheta_thigh", "dtheta_calf"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length {len(getattr(self, name))} != time grid length {n}")
-        diffs = np.diff(self.time_grid)
-        dt = (self.time_grid[-1] - self.time_grid[0]) / (n - 1)
-        if dt <= 0 or np.any(diffs <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        if np.max(np.abs(diffs - dt)) > 1e-9 * dt:
-            raise ValueError("time grid spacing must be uniform to 1 part in 1e9")
+        _grid_spacing(self.time_grid)
 
     def __len__(self) -> int:
         return len(self.time_grid)
@@ -109,11 +117,16 @@ class JointTrajectory:
 
 @dataclass(frozen=True)
 class AngularVelocitySeries:
-    """Timestamped 3-vector angular-velocity samples with a frame tag."""
+    """Timestamped 3-vector angular-velocity samples with a frame tag.
+
+    Built only on a time grid of at least 2 samples that is strictly
+    increasing and uniform to one part in 1e9.
+    """
 
     time_grid: np.ndarray
     samples: np.ndarray
     frame: Frame
+    _dt: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.time_grid, dtype=float)
@@ -126,10 +139,9 @@ class AngularVelocitySeries:
             raise ValueError("samples length must equal time grid length")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(w)):
             raise ValueError("series contains non-finite values")
-        if t.shape[0] >= 2 and np.any(np.diff(t) <= 0):
-            raise ValueError("time grid must be strictly increasing")
         if not isinstance(self.frame, Frame):
             raise ValueError(f"frame must be a Frame, got {self.frame!r}")
+        object.__setattr__(self, "_dt", _grid_spacing(t))
         object.__setattr__(self, "time_grid", t)
         object.__setattr__(self, "samples", w)
 
@@ -137,14 +149,8 @@ class AngularVelocitySeries:
         return len(self.time_grid)
 
     def uniform_dt(self) -> float:
-        """Grid spacing, raising if the grid is not uniform to 1 part in 1e9."""
-        n = len(self.time_grid)
-        if n < 2:
-            raise ValueError("series needs at least 2 samples for a grid spacing")
-        dt = (self.time_grid[-1] - self.time_grid[0]) / (n - 1)
-        if np.max(np.abs(np.diff(self.time_grid) - dt)) > 1e-9 * dt:
-            raise ValueError("series time grid is not uniform")
-        return float(dt)
+        """Grid spacing, checked when the series was built."""
+        return self._dt
 
     @property
     def span(self) -> float:

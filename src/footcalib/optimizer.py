@@ -103,6 +103,11 @@ def _angular_frequencies(harmonic_count: int, base_frequency: float) -> np.ndarr
     return (2 * np.arange(1, harmonic_count + 1) - 1) * base_frequency
 
 
+def is_count(value) -> bool:
+    """True for a non-negative integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs of the projected quasi-Newton trajectory generator.
@@ -122,8 +127,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 1.0 <= self.kappa_objective < math.inf:
             raise ValueError("kappa_objective must be finite and >= 1")
-        if not self.max_iterations >= 0:
-            raise ValueError("max_iterations must be >= 0")
+        for name in ("max_iterations", "seed"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be a non-negative integer, got {getattr(self, name)!r}")
         for name in ("step_size", "imu_frequency", "offset_range"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")

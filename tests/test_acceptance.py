@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from footcalib import (
-    CalibrationOptions,
     Motion,
     NoiseModel,
+    OffsetSearch,
     OptimizerConfig,
     calibrate,
     calibration_geometry,
@@ -66,9 +66,8 @@ def optimized_series(optimized_feet):
     return trajectory_to_foot_velocity(traj)
 
 
-def a2i_options():
-    return CalibrationOptions(offset_range=0.25,
-                              window_samples=period_samples(OptimizerConfig().period, RATE))
+A2I_SEARCH = OffsetSearch(0.25)
+A2I_WINDOW = period_samples(OptimizerConfig().period, RATE)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +108,7 @@ def test_criterion_3_noiseless_round_trip(optimized_series):
         rng = np.random.default_rng(300 + seed)
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
         imu = simulate_imu(optimized_series, truth, NoiseModel(0.0, seed=seed))
-        result = calibrate(imu, optimized_series, a2i_options())
+        result = calibrate(imu, optimized_series, A2I_SEARCH, A2I_WINDOW)
         worst_re = max(worst_re, rotation_error(result.rotation, truth.euler_deg).degrees)
         worst_td = max(worst_td, abs(result.time_offset - truth.time_offset))
     passed = worst_re <= 1e-4 and worst_td < 0.5 / RATE
@@ -128,7 +127,7 @@ def test_criterion_4_noisy_calibration_accuracy(optimized_series):
             truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
             noise = NoiseModel(density, seed=_child_seed(4, int(density * 1e9), seed))
             imu = simulate_imu(optimized_series, truth, noise)
-            result = calibrate(imu, optimized_series, a2i_options())
+            result = calibrate(imu, optimized_series, A2I_SEARCH, A2I_WINDOW)
             errors.append(rotation_error(result.rotation, truth.euler_deg).degrees)
             min_cc = min(min_cc, result.correlation)
         medians[density] = float(np.median(errors))
@@ -173,7 +172,7 @@ def test_criterion_6_time_offset_precision(optimized_series):
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=None)
         noise = NoiseModel(0.03, seed=_child_seed(6, seed))
         imu = simulate_imu(optimized_series, truth, noise)
-        result = calibrate(imu, optimized_series, a2i_options())
+        result = calibrate(imu, optimized_series, A2I_SEARCH, A2I_WINDOW)
         worst = max(worst, abs(result.time_offset - truth.time_offset))
     passed = worst <= 0.002
     report(6, "time offset precision", passed,

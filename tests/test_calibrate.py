@@ -6,7 +6,6 @@ import pytest
 from footcalib import (
     AngularVelocitySeries,
     BasisSpec,
-    CalibrationOptions,
     CalibrationResult,
     Frame,
     GaitKind,
@@ -48,10 +47,17 @@ def foot_series():
     return trajectory_to_foot_velocity(traj)
 
 
-def options(**kwargs):
-    defaults = dict(offset_range=0.25, window_samples=period_samples(GOOD_SPEC.period, RATE))
-    defaults.update(kwargs)
-    return CalibrationOptions(**defaults)
+SEARCH = OffsetSearch(0.25)
+WINDOW = period_samples(GOOD_SPEC.period, RATE)  # one period
+
+
+def z_only_pair():
+    """An IMU/foot pair whose motion excites the z axis only."""
+    t = np.arange(200) / RATE
+    samples = np.zeros((200, 3))
+    samples[:, 2] = np.sin(2 * math.pi * t)
+    return (AngularVelocitySeries(t, samples, Frame.FOOT_IMU),
+            AngularVelocitySeries(t, samples, Frame.FOOT_KINEMATIC))
 
 
 def shift(series, t_d):
@@ -324,21 +330,23 @@ class TestEstimateRotation:
         assert residual(kabsch) < residual(estimate_rotation(cov))
 
     def test_rank_deficiency_names_axis(self):
-        t = np.arange(200) / RATE
-        samples = np.zeros((200, 3))
-        samples[:, 2] = np.sin(2 * math.pi * t)
-        imu = AngularVelocitySeries(t, samples, Frame.FOOT_IMU)
-        foot = AngularVelocitySeries(t, samples.copy(), Frame.FOOT_KINEMATIC)
         with pytest.raises(RankDeficiencyError) as excinfo:
-            estimate_rotation(covariance_set(imu, foot))
+            estimate_rotation(covariance_set(*z_only_pair()))
         assert excinfo.value.axis in ("x", "y")
 
 
 class TestCalibrate:
+    def test_rank_deficient_motion_names_its_weak_axis(self):
+        # the offset scan checks the foot covariance before it runs, with
+        # the floor that names the axis
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            calibrate(*z_only_pair(), OffsetSearch(0.05))
+        assert excinfo.value.axis in ("x", "y")
+
     def test_noiseless_identity_round_trip(self, foot_series):
         truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
-        result = calibrate(imu, foot_series, options())
+        result = calibrate(imu, foot_series, SEARCH, WINDOW)
         np.testing.assert_allclose(result.rotation, np.eye(3), atol=1e-9)
         assert abs(result.time_offset) <= 1e-9 / RATE
         assert result.correlation == pytest.approx(1.0, abs=1e-9)
@@ -351,14 +359,14 @@ class TestCalibrate:
         rng = np.random.default_rng(seed)
         truth = random_ground_truth(rng, offset_range=0.1, grid_step=1 / RATE)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
-        result = calibrate(imu, foot_series, options())
+        result = calibrate(imu, foot_series, SEARCH, WINDOW)
         assert abs(result.time_offset - truth.time_offset) <= 1e-9 / RATE
         assert rotation_error(result.rotation, truth.euler_deg).degrees <= 1e-6
 
     def test_noisy_truth_recovery(self, foot_series):
         truth = GroundTruth.from_euler_deg(33.0, -21.0, 95.0, time_offset=0.042)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=5))
-        result = calibrate(imu, foot_series, options())
+        result = calibrate(imu, foot_series, SEARCH, WINDOW)
         assert rotation_error(result.rotation, truth.euler_deg).degrees <= 1.0
         assert abs(result.time_offset - truth.time_offset) <= 0.002
         assert result.correlation >= 0.99
@@ -371,14 +379,14 @@ class TestCalibrate:
             for seed in range(20):
                 imu = simulate_imu(foot_series, truth,
                                    NoiseModel(density, seed=1000 + seed))
-                result = calibrate(imu, foot_series, options())
+                result = calibrate(imu, foot_series, SEARCH, WINDOW)
                 errors.append(rotation_error(result.rotation, truth.euler_deg).degrees)
             medians.append(float(np.median(errors)))
         assert medians[0] <= medians[1] <= medians[2]
 
     def test_frame_tags_enforced(self, foot_series):
         with pytest.raises(ValueError):
-            calibrate(foot_series, foot_series, options())
+            calibrate(foot_series, foot_series, SEARCH, WINDOW)
 
     def test_correlation_is_scan_maximum(self):
         # failed lags are NaN in the scan and do not count

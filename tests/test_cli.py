@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from footcalib import default_experiment_config, period_samples
+from footcalib import AngularVelocitySeries, Frame, default_experiment_config, period_samples
 from footcalib.cli import main
 from footcalib.harness import config_to_dict
-from footcalib.io import read_measurements, read_rows_csv, read_trajectory
+from footcalib.io import read_measurements, read_rows_csv, read_trajectory, write_measurements
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,19 @@ class TestMatrixCommand:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"seeds": [-1]}, {"seeds": [1.5]}, {"seeds": [True]},
+        {"optimizer": {"max_iterations": 2.5}},
+    ], ids=["seed-negative", "seed-float", "seed-bool", "max-iterations-float"])
+    def test_config_with_non_integer_seed_rejected(self, tmp_path, capsys, doc):
+        # rejected at load, before the report files are opened
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        out = tmp_path / "matrix"
+        code = main(["matrix", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+        assert not out.exists()
+
 
 class TestTheoremCheck:
     def test_suite_passes(self, capsys):
@@ -138,3 +151,30 @@ class TestErrorDocument:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
+
+    def test_rank_deficient_dumps_name_the_error(self, capsys, tmp_path):
+        t = np.arange(500) / 500.0
+        samples = np.zeros((500, 3))
+        samples[:, 2] = np.sin(2 * np.pi * t)  # x and y are never excited
+        write_measurements(tmp_path / "imu.csv", AngularVelocitySeries(t, samples, Frame.FOOT_IMU))
+        write_measurements(tmp_path / "foot.csv",
+                           AngularVelocitySeries(t, samples, Frame.FOOT_KINEMATIC))
+        code = main(["calibrate", "--imu", str(tmp_path / "imu.csv"),
+                     "--foot", str(tmp_path / "foot.csv"), "--t-r", "0.1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "RankDeficiencyError"
+
+    def test_jittered_time_column_rejected(self, capsys, tmp_path, pipeline_dir):
+        lines = (pipeline_dir / "imu_measurements.csv").read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[0] = repr(float(fields[0]) + 3e-4)
+        lines[100] = ",".join(fields)
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        code = main(["calibrate", "--imu", str(tmp_path / "imu.csv"),
+                     "--foot", str(pipeline_dir / "foot_kinematic.csv"), "--t-r", "0.1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "uniform" in error["message"]
+        assert not (tmp_path / "out").exists()

@@ -138,6 +138,26 @@ class TestConfig:
         assert config.motions == (Motion.A2I,)
         assert len(config.truths) == 4
 
+    def test_dict_defaults_are_the_default_config(self, tmp_path):
+        out = tmp_path / "out"
+        assert config_to_dict(config_from_dict({"optimizer": {"seed": 3}}, out)) == \
+            config_to_dict(default_experiment_config(out, base_seed=3))
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"seeds": [-1]}, "seeds"),
+        ({"seeds": [1.5]}, "seeds"),
+        ({"seeds": [True]}, "seeds"),
+        ({"optimizer": {"seed": -1}}, "seed"),
+        ({"optimizer": {"seed": 2.5}}, "seed"),
+        ({"optimizer": {"max_iterations": 2.5}}, "max_iterations"),
+    ], ids=["seed-negative", "seed-float", "seed-bool", "optimizer-seed-negative",
+            "optimizer-seed-float", "max-iterations-float"])
+    def test_non_integer_seed_rejected(self, tmp_path, doc, field):
+        # numpy's SeedSequence takes non-negative integers only, and a bool
+        # or a float count would run under another value than the one written
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            config_from_dict(doc, output_dir=tmp_path / "out")
+
     @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
     def test_removed_optimizer_key_rejected(self, tmp_path, key):
         # the loss gradient is analytic and the descent keeps the joints

@@ -124,6 +124,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             AngularVelocitySeries(t, samples, Frame.FOOT_IMU)
 
+    def test_series_rejects_jittered_timestamp(self):
+        t = np.arange(10) / 100.0
+        t[5] += 3e-4
+        with pytest.raises(ValueError, match="uniform"):
+            AngularVelocitySeries(t, np.zeros((10, 3)), Frame.FOOT_IMU)
+
     def test_series_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             AngularVelocitySeries(np.arange(4.0), np.zeros((4, 2)), Frame.FOOT_IMU)

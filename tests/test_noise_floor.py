@@ -16,8 +16,8 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from footcalib import (
-    CalibrationOptions,
     NoiseModel,
+    OffsetSearch,
     OptimizerConfig,
     calibrate,
     calibration_geometry,
@@ -50,21 +50,21 @@ def fl_a2i_series():
 
 @pytest.mark.parametrize("index, density", [(0, 0.06), (1, 0.3)])
 def test_rotation_error_at_noise_floor(fl_a2i_series, index, density):
-    options = CalibrationOptions(offset_range=0.25, window_samples=WINDOW)
+    search = OffsetSearch(0.25)
     errors = []
     td_errors = []
     for seed in SEEDS:
         truth = random_ground_truth(np.random.default_rng(seed), 0.1, grid_step=1 / RATE)
         noise = NoiseModel(density, seed=1000 * index + seed)
         imu = simulate_imu(fl_a2i_series, truth, noise)
-        result = calibrate(imu, fl_a2i_series, options)
+        result = calibrate(imu, fl_a2i_series, search, WINDOW)
         errors.append(Rotation.from_matrix(result.rotation @ truth.rotation.T).as_rotvec())
         td_errors.append(result.time_offset - truth.time_offset)
     errors = np.array(errors)
     td_errors = np.array(td_errors)
 
     i0, i1 = _paired_window(fl_a2i_series, fl_a2i_series, 1 / RATE,
-                            options.offset_range, WINDOW)
+                            search.offset_range, WINDOW)
     window = fl_a2i_series.samples[i0:i1]
     s = np.diag(sample_covariance(window))
     sigma = math.radians(density) * math.sqrt(RATE)

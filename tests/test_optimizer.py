@@ -20,7 +20,7 @@ from footcalib import (
     trajectory_loss,
     trajectory_to_foot_velocity,
 )
-from footcalib.calibrate import require_invertible
+from footcalib.calibrate import require_excited
 from footcalib.optimizer import diagonality_ratio, sample_covariance
 from conftest import brute_force_pair_covariance
 
@@ -568,8 +568,8 @@ def test_limits_excluding_zero_rejected():
 
 class TestCovarianceSetType:
     def test_invertibility_guard(self):
-        require_invertible(np.eye(3), "sigma_ii")
-        require_invertible(np.diag([1.0, 1.0, 1e-11]), "sigma_ii")
+        require_excited(np.eye(3), "sigma_ii")
+        require_excited(np.diag([1.0, 1.0, 1e-11]), "sigma_ii")
         for singular in (np.diag([1.0, 1.0, 1e-13]), np.zeros((3, 3))):
             with pytest.raises(IllConditionedError):
-                require_invertible(singular, "sigma_ff")
+                require_excited(singular, "sigma_ff")
