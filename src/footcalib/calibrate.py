@@ -5,10 +5,14 @@ foot-end series one sample at a time, scoring each integer lag by the
 trace correlation, and refining the best lag to a fraction of a sample
 with a parabola through its two neighbours. Every lag is scored in one
 pass: the cross-covariances of all lags come from nine ``np.correlate``
-calls and the IMU auto-covariances from windowed prefix sums, and the
-per-lag 3x3 algebra is batched. The extrinsic rotation then comes from
-an SVD-projected product of the covariance matrices at the refined
-offset.
+calls and the IMU auto-covariances from windowed prefix sums. Each lag
+is then scored in closed form by whitening: the foot covariance is
+Cholesky-factored once, each IMU auto-covariance in closed form, and
+three times the squared trace correlation is the squared Frobenius norm
+of the whitened cross-covariance. A determinant screen clears most lags of the
+singular-value floor, so only the doubtful ones reach an eigensolver.
+The extrinsic rotation then comes from an SVD-projected product of the
+covariance matrices at the refined offset.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ import numpy as np
 
 from .errors import IllConditionedError, RankDeficiencyError
 from .kinematics import AngularVelocitySeries, Frame, resample
-from .optimizer import condition_number, sample_covariance
+from .optimizer import column_means, condition_number, sample_covariance
 
 _AXES = ("x", "y", "z")
+# the six distinct entries of a symmetric 3x3 matrix, in the order 00 01 02 11 12 22
+_ROWS, _COLS = np.triu_indices(3)
 
 
 def is_proper_rotation(matrix: np.ndarray) -> bool:
@@ -98,30 +104,85 @@ def covariance_set(imu_shifted: AngularVelocitySeries, foot: AngularVelocitySeri
                          sigma_if=sample_covariance(imu_shifted.samples, foot.samples))
 
 
-def _trace_correlation(sigma_ii: np.ndarray, sigma_ff: np.ndarray, sigma_if: np.ndarray) -> np.ndarray:
-    """Clamped trace correlations of stacked (L, 3, 3) ``sigma_ii``/``sigma_if`` with one ``sigma_ff``.
+def _cholesky(upper: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Closed-form lower Cholesky factors (l00, l10, l20, l11, l21, l22) of stacked symmetric 3x3 matrices.
 
-    Each clamp warns at most once per call, naming the most extreme raw value.
+    ``upper`` holds the six distinct entries (00 01 02 11 12 22) of each
+    matrix as rows. A diagonal entry is the root of its pivot, so it is
+    positive exactly where the pivot is; a zero or negative pivot leaves a
+    zero or NaN there, and inf or NaN below it. Call under
+    ``np.errstate`` when the stack may hold such matrices.
     """
-    product = np.linalg.solve(sigma_ii, sigma_if) @ np.linalg.solve(sigma_ff, sigma_if.swapaxes(-1, -2))
-    r_squared = np.trace(product, axis1=-2, axis2=-1) / 3.0
-    if r_squared.size and r_squared.min() < -1e-9:
-        warnings.warn(f"trace correlation squared is {r_squared.min()}, clamping to 0")
-    r = np.sqrt(np.maximum(r_squared, 0.0))
-    if r.size and r.max() > 1.0 + 1e-9:
-        warnings.warn(f"trace correlation is {r.max()}, clamping to 1")
+    s00, s01, s02, s11, s12, s22 = upper
+    l00 = np.sqrt(s00)
+    l10 = s01 / l00
+    l20 = s02 / l00
+    l11 = np.sqrt(s11 - l10 * l10)
+    l21 = (s12 - l20 * l10) / l11
+    l22 = np.sqrt(s22 - l20 * l20 - l21 * l21)
+    return l00, l10, l20, l11, l21, l22
+
+
+def _usable(upper: np.ndarray, diagonal: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """``~_singular`` of the stack whose distinct entries are ``upper``, with Cholesky ``diagonal``.
+
+    For a positive definite 3x3 matrix with eigenvalues l1 <= l2 <= l3,
+    det = l1 l2 l3 <= l1 tr^2 and l3 <= tr, so l1/l3 >= det/tr^3. A matrix
+    with det/tr^3 above 1e-9 therefore clears the 1e-12 relative floor with
+    three orders of magnitude to spare for rounding. The determinant is the
+    squared product of the Cholesky diagonal, which is positive only when
+    every pivot is, so one comparison also checks positive definiteness.
+    Only the matrices that fail this screen go to ``_singular``.
+    """
+    l00, l11, l22 = diagonal
+    trace = upper[0] + upper[3] + upper[5]
+    usable = np.square(l00 * l11 * l22) > 1e-9 * trace ** 3
+    doubtful = np.flatnonzero(~usable)
+    if doubtful.size:
+        sigma = np.empty((doubtful.size, 3, 3))
+        sigma[:, _ROWS, _COLS] = sigma[:, _COLS, _ROWS] = upper[:, doubtful].T
+        usable[doubtful] = ~_singular(sigma)
+    return usable
+
+
+def _trace_correlations(upper_ii: np.ndarray, sigma_if: np.ndarray, sigma_ff: np.ndarray) -> np.ndarray:
+    """Trace correlations of L stacked IMU covariances against one foot covariance.
+
+    ``upper_ii`` is (6, L), the distinct entries of each S_II; ``sigma_if``
+    is (3, 3, L), S_IF with the stack index last; ``sigma_ff`` must be
+    positive definite. With S_FF = L_F L_F^T and S_II = L_I L_I^T,
+    Tr(S_II^-1 S_IF S_FF^-1 S_FI) = ||L_I^-1 S_IF L_F^-T||_F^2, so
+    r^2 is that squared Frobenius norm over 3: M = S_IF L_F^-T is one
+    batched product, and L_I^-1 M is forward substitution over the stack.
+    An S_II that ``_usable`` rejects scores NaN, and so does one that
+    clears the floor but is indefinite, which a covariance can be only by
+    rounding far below the floor. A root above 1 by more than 1e-9 warns
+    once per call, naming the largest, and every root is clamped to 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l00, l10, l20, l11, l21, l22 = _cholesky(upper_ii)
+        m = np.linalg.inv(np.linalg.cholesky(sigma_ff)) @ sigma_if
+        z0 = m[0] / l00
+        z1 = (m[1] - l10 * z0) / l11
+        z2 = (m[2] - l20 * z0 - l21 * z1) / l22
+        r = np.sqrt((np.square(z0) + np.square(z1) + np.square(z2)).sum(axis=0) / 3.0)
+    r[~_usable(upper_ii, (l00, l11, l22))] = np.nan
+    if np.any(r > 1.0 + 1e-9):
+        warnings.warn(f"trace correlation is {np.nanmax(r)}, clamping to 1")
     return np.minimum(r, 1.0)
 
 
 def trace_correlation(cov: CovarianceSet) -> float:
     """Trace correlation coefficient of the series pair behind ``cov``.
 
-    r = sqrt(Tr(S_II^-1 S_IF S_FF^-1 S_FI) / 3), clamped to [0, 1]. A
-    warning is emitted if the raw value falls outside by more than 1e-9.
+    r = sqrt(Tr(S_II^-1 S_IF S_FF^-1 S_FI) / 3), clamped to at most 1,
+    scored by the whitening kernel of the offset scan. A warning is
+    emitted if the raw value exceeds 1 by more than 1e-9.
     """
     require_excited(cov.sigma_ii, "sigma_ii")
     require_excited(cov.sigma_ff, "sigma_ff")
-    return float(_trace_correlation(cov.sigma_ii[None], cov.sigma_ff, cov.sigma_if[None])[0])
+    return float(_trace_correlations(cov.sigma_ii[_ROWS, _COLS][:, None], cov.sigma_if[:, :, None],
+                                     cov.sigma_ff)[0])
 
 
 @dataclass(frozen=True)
@@ -175,36 +236,33 @@ def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, foot_window: np
     - S_II(k) = (S2 - S1 S1^T / W) / (W - 1), where S1 and S2 are the
       windowed sums of x and of the six distinct products x_a x_b, taken
       as differences of their running sums.
+    - Each lag is scored by ``_trace_correlations``: S_FF is factored
+      once, each S_II(k) in closed form from its six entries, and r^2 is
+      the squared norm of the whitened S_IF(k) over 3.
 
-    ``sigma_ff`` belongs to ``foot_window`` and must be invertible. A lag
-    whose S_II(k) is singular at the 1e-12 relative floor scores NaN.
+    ``sigma_ff`` belongs to ``foot_window`` and must be positive definite.
+    A lag whose S_II(k) is singular at the 1e-12 relative floor scores
+    NaN; the determinant screen of ``_usable`` clears most lags, and only
+    the rest reach the eigenvalue check of ``_singular``.
     """
     width = i1 - i0
     block = imu_samples[i0 - n:i1 + n]
-    block = np.ascontiguousarray((block - block.mean(axis=0)).T)
-    foot_centred = np.ascontiguousarray((foot_window - foot_window.mean(axis=0)).T)
+    block = np.ascontiguousarray((block - column_means(block)).T)
+    foot_centred = np.ascontiguousarray((foot_window - column_means(foot_window)).T)
     lag_count = 2 * n + 1
 
-    sigma_if = np.empty((lag_count, 3, 3))
+    sigma_if = np.empty((3, 3, lag_count))
     for a in range(3):
         for b in range(3):
-            sigma_if[:, a, b] = np.correlate(block[a], foot_centred[b], "valid")
+            sigma_if[a, b] = np.correlate(block[a], foot_centred[b], "valid")
     sigma_if /= width - 1
 
-    rows, cols = np.triu_indices(3)
     running = np.zeros((9, block.shape[1] + 1))
     np.cumsum(block, axis=1, out=running[:3, 1:])
-    np.cumsum(block[rows] * block[cols], axis=1, out=running[3:, 1:])
+    np.cumsum(block[_ROWS] * block[_COLS], axis=1, out=running[3:, 1:])
     sums = running[:, width:] - running[:, :lag_count]
-    upper = (sums[3:] - sums[rows] * sums[cols] / width) / (width - 1)
-    sigma_ii = np.empty((lag_count, 3, 3))
-    sigma_ii[:, rows, cols] = upper.T
-    sigma_ii[:, cols, rows] = upper.T
-
-    rs = np.full(lag_count, np.nan)
-    usable = ~_singular(sigma_ii)
-    rs[usable] = _trace_correlation(sigma_ii[usable], sigma_ff, sigma_if[usable])
-    return rs
+    upper_ii = (sums[3:] - sums[_ROWS] * sums[_COLS] / width) / (width - 1)
+    return _trace_correlations(upper_ii, sigma_if, sigma_ff)
 
 
 def _parabolic_peak(rs: np.ndarray, best: int) -> float:

@@ -394,15 +394,26 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+# the top-level keys config_to_dict writes
+_CONFIG_KEYS = frozenset({"geometry", "truths", "noise_densities", "motions", "optimizer", "seeds",
+                          "output_dir"})
+
+
 def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     """Build a config from a JSON document.
 
     Missing sections take the values of ``default_experiment_config`` for
-    the document's optimizer seed. A ``geometry.twists`` entry, which older
-    documents carry, must be the leg's fixed modified-DH twists
-    (0, -pi/2, 0, 0) to 1e-12; the foot velocity map is defined for no
-    other set, so any other value raises ValueError here.
+    the document's optimizer seed. A top-level key that ``config_to_dict``
+    does not write raises ValueError naming it, so a misspelt section
+    cannot fall back to the defaults unnoticed. A ``geometry.twists``
+    entry, which older documents carry, must be the leg's fixed
+    modified-DH twists (0, -pi/2, 0, 0) to 1e-12; the foot velocity map is
+    defined for no other set, so any other value raises ValueError here.
     """
+    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                         f"expected keys are {', '.join(sorted(_CONFIG_KEYS))}")
     optimizer = OptimizerConfig(**doc.get("optimizer", {}))
     lists = {name: tuple(doc[name]) for name in ("noise_densities", "seeds") if name in doc}
     if "motions" in doc:

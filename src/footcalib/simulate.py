@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .kinematics import AngularVelocitySeries, Frame, JointTrajectory, resample
+from .optimizer import is_count
 
 
 def euler_deg_to_matrix(angles) -> np.ndarray:
@@ -122,9 +123,10 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 <= self.density < math.inf:
             raise ValueError("density must be finite and >= 0")
-        # a float here is most likely a sample rate passed where the seed goes
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        # a float here is most likely a sample rate passed where the seed goes;
+        # numpy's SeedSequence takes non-negative integers only
+        if not is_count(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def simulate_imu(foot_series: AngularVelocitySeries, truth: GroundTruth,

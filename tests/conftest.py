@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,9 @@ def brute_force_pair_covariance(x, y):
     for i in range(n):
         acc += np.outer(x[i] - mean_x, y[i] - mean_y)
     return acc / (n - 1)
+
+
+def solve_trace_correlation(sigma_ii, sigma_ff, sigma_if):
+    """Trace-correlation oracle by two linear solves: sqrt(Tr(S_II^-1 S_IF S_FF^-1 S_FI) / 3)."""
+    product = np.linalg.solve(sigma_ii, sigma_if) @ np.linalg.solve(sigma_ff, sigma_if.T)
+    return math.sqrt(np.trace(product) / 3.0)

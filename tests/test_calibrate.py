@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -27,11 +28,21 @@ from footcalib import (
     trace_correlation,
     trajectory_to_foot_velocity,
 )
-from footcalib.calibrate import _paired_window
+from footcalib.calibrate import (
+    _ROWS,
+    _COLS,
+    _cholesky,
+    _paired_window,
+    _singular,
+    _usable,
+    require_excited,
+)
 from footcalib.kinematics import resample
-from conftest import brute_force_pair_covariance
+from conftest import brute_force_pair_covariance, solve_trace_correlation
 
 RATE = 500.0
+# the package exports a function of the same name, so the submodule is reached by import path
+calibrate_module = importlib.import_module("footcalib.calibrate")
 
 # Hand-picked low-condition-number basis amplitudes; calibration tests
 # should not depend on optimizer behaviour.
@@ -183,6 +194,55 @@ class TestTraceCorrelation:
         assert rotated == pytest.approx(base, abs=1e-9)
 
 
+def screened_stack():
+    """Symmetric 3x3 matrices from well conditioned to singular, plus exact zeros and an indefinite one."""
+    rng = np.random.default_rng(21)
+    spectra = [(1.0, 0.3, ratio) for ratio in np.logspace(-6, -14, 33)]
+    spectra += [(1.0, ratio, ratio) for ratio in (1e-8, 1e-12, 1e-13)]
+    spectra.append((2.0, -1.0, -0.5))  # det > 0 with two negative eigenvalues
+    stack = []
+    for spectrum in spectra:
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        stack.append(q @ np.diag(spectrum) @ q.T)
+    stack.append(np.zeros((3, 3)))
+    stack.append(np.diag([0.0, 1.0, 2.0]))
+    stack.append(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+    return np.array([(m + m.T) / 2.0 for m in stack])
+
+
+class TestFloorScreen:
+    def test_screen_and_fallback_equal_the_eigenvalue_floor(self, monkeypatch):
+        # the determinant screen clears a matrix only where it is provably
+        # above the 1e-12 floor; the rest go to _singular, so the mask is
+        # exactly ~_singular of the whole stack
+        stack = screened_stack()
+        upper = stack[:, _ROWS, _COLS].T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            l00, _, _, l11, _, l22 = _cholesky(upper)
+        checked = []
+
+        def recording_singular(sigma):
+            checked.append(len(sigma))
+            return _singular(sigma)
+
+        monkeypatch.setattr(calibrate_module, "_singular", recording_singular)
+        usable = _usable(upper, (l00, l11, l22))
+        np.testing.assert_array_equal(usable, ~_singular(stack))
+        assert usable.any() and not usable.all()
+        assert len(checked) == 1 and 0 < checked[0] < len(stack)
+        assert usable[-4]  # the indefinite matrix clears the floor of its absolute eigenvalues
+
+    def test_no_eigenvalue_check_when_every_matrix_clears_the_screen(self, monkeypatch):
+        def failing_singular(sigma):
+            raise AssertionError("_singular called")
+
+        monkeypatch.setattr(calibrate_module, "_singular", failing_singular)
+        stack = screened_stack()[:5]
+        upper = stack[:, _ROWS, _COLS].T
+        l00, _, _, l11, _, l22 = _cholesky(upper)
+        assert _usable(upper, (l00, l11, l22)).all()
+
+
 class TestEstimateTimeOffset:
     def test_zero_offset_noiseless(self, foot_series):
         truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=0.0)
@@ -273,6 +333,35 @@ class TestEstimateTimeOffset:
         for name in ("sigma_ii", "sigma_ff", "sigma_if", "sigma_fi"):
             np.testing.assert_array_equal(getattr(estimate.covariance, name),
                                           getattr(refined, name))
+
+    @pytest.mark.parametrize("kind", [GaitKind.WALK, GaitKind.SPIN, GaitKind.WAVE],
+                             ids=["walk", "spin", "wave"])
+    def test_scan_matches_solve_oracle_on_ill_conditioned_gaits(self, kind):
+        # the comparison gaits leave S_II far from isotropic, where the
+        # whitened scan must still agree with two per-lag linear solves to a
+        # relative 1e-10; an adjugate form, Tr(adj(S_II) S_IF S_FF^-1 S_FI)
+        # / det(S_II), misses that bound on walk and spin
+        foot = trajectory_to_foot_velocity(baseline_gait(kind, RATE))
+        truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
+        imu = simulate_imu(foot, truth, NoiseModel(0.006, seed=5))
+        estimate = estimate_time_offset(imu, foot, OffsetSearch(0.1))
+
+        i0, i1 = _paired_window(imu, foot, foot.uniform_dt(), 0.1, None)
+        t = foot.time_grid[i0:i1]
+        foot_window = AngularVelocitySeries(t, foot.samples[i0:i1], Frame.FOOT_KINEMATIC)
+        expected = []
+        for k in range(-50, 51):
+            cov = covariance_set(
+                AngularVelocitySeries(t, imu.samples[i0 + k:i1 + k], Frame.FOOT_IMU), foot_window)
+            try:
+                require_excited(cov.sigma_ii, "sigma_ii")
+            except IllConditionedError:
+                expected.append(np.nan)
+                continue
+            expected.append(solve_trace_correlation(cov.sigma_ii, cov.sigma_ff, cov.sigma_if))
+        np.testing.assert_array_equal(np.isnan(estimate.scan[:, 1]), np.isnan(expected))
+        np.testing.assert_allclose(estimate.scan[:, 1], expected, rtol=1e-10, atol=0,
+                                   equal_nan=True)
 
     def test_range_beyond_quarter_span_rejected(self, foot_series):
         with pytest.raises(ValueError):

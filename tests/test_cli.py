@@ -114,6 +114,16 @@ class TestMatrixCommand:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
         assert not out.exists()
 
+    def test_config_with_unknown_key_rejected(self, tmp_path, capsys):
+        # a misspelt section is rejected at load instead of running the defaults
+        (tmp_path / "config.json").write_text(json.dumps({"sedes": [1], "motions": ["walk"]}))
+        out = tmp_path / "matrix"
+        code = main(["matrix", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "'sedes'" in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         {"seeds": [-1]}, {"seeds": [1.5]}, {"seeds": [True]},
         {"optimizer": {"max_iterations": 2.5}},

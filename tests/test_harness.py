@@ -158,6 +158,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             config_from_dict(doc, output_dir=tmp_path / "out")
 
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # a misspelt section must not fall back to the default matrix
+        with pytest.raises(ValueError, match="'noise_density', 'sedes'"):
+            config_from_dict({"sedes": [1], "noise_density": [0.5]}, output_dir=tmp_path / "out")
+        # every key config_to_dict writes loads
+        config = default_experiment_config(tmp_path / "out", seeds=(4,))
+        assert config_from_dict(config_to_dict(config)).seeds == (4,)
+
     @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
     def test_removed_optimizer_key_rejected(self, tmp_path, key):
         # the loss gradient is analytic and the descent keeps the joints

@@ -125,6 +125,13 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="seed"):
             NoiseModel(0.006, 500.0)
 
+    @pytest.mark.parametrize("seed", [True, -3], ids=["bool", "negative"])
+    def test_seed_must_be_a_count(self, seed):
+        # a bool would seed the noise as 1, and a negative seed would only
+        # fail later, inside simulate_imu's default_rng
+        with pytest.raises(ValueError, match="^seed must"):
+            NoiseModel(0.006, seed=seed)
+
 
 class TestSimulateImu:
     def test_identity_noiseless_is_exact(self):
