@@ -127,16 +127,23 @@ def _usable(upper: np.ndarray, diagonal: tuple[np.ndarray, np.ndarray, np.ndarra
     """``~_singular`` of the stack whose distinct entries are ``upper``, with Cholesky ``diagonal``.
 
     For a positive definite 3x3 matrix with eigenvalues l1 <= l2 <= l3,
-    det = l1 l2 l3 <= l1 tr^2 and l3 <= tr, so l1/l3 >= det/tr^3. A matrix
-    with det/tr^3 above 1e-9 therefore clears the 1e-12 relative floor with
-    three orders of magnitude to spare for rounding. The determinant is the
-    squared product of the Cholesky diagonal, which is positive only when
-    every pivot is, so one comparison also checks positive definiteness.
-    Only the matrices that fail this screen go to ``_singular``.
+    det = l1 l2 l3 and e2 = l1 l2 + l1 l3 + l2 l3 >= l2 l3, the sum of the
+    principal 2x2 minors, so l1 >= det/e2; and l3 <= tr. A matrix with
+    det/(e2 tr) above 1e-9 therefore clears the 1e-12 relative floor with
+    three orders of magnitude to spare for rounding. e2 is floored at
+    1e-4 tr^2, which only weakens the bound: where the two smaller
+    eigenvalues sit at rounding level, the computed e2 can come out far
+    below its true value and would clear a singular matrix. The
+    determinant is the squared product of the Cholesky diagonal, which is
+    positive only when every pivot is, so one comparison also checks
+    positive definiteness. Only the matrices that fail this screen go to
+    ``_singular``.
     """
     l00, l11, l22 = diagonal
-    trace = upper[0] + upper[3] + upper[5]
-    usable = np.square(l00 * l11 * l22) > 1e-9 * trace ** 3
+    s00, s01, s02, s11, s12, s22 = upper
+    trace = s00 + s11 + s22
+    minors = s00 * s11 - s01 * s01 + s00 * s22 - s02 * s02 + s11 * s22 - s12 * s12
+    usable = np.square(l00 * l11 * l22) > 1e-9 * trace * np.maximum(minors, 1e-4 * trace * trace)
     doubtful = np.flatnonzero(~usable)
     if doubtful.size:
         sigma = np.empty((doubtful.size, 3, 3))

@@ -290,13 +290,11 @@ def _summarize(rows: list[ReportRow], motions, densities) -> list[SummaryRow]:
             cells = [r for r in rows
                      if r.motion is motion and r.noise_density == density and not r.error]
             if cells:
+                cn, cc, re_deg, td_ms = np.median(
+                    [(r.cn, r.cc, r.re_deg, abs(r.td_error_ms)) for r in cells], axis=0).tolist()
                 summary.append(SummaryRow(
-                    motion=motion, noise_density=density, rows=len(cells),
-                    median_cn=float(np.median([r.cn for r in cells])),
-                    median_cc=float(np.median([r.cc for r in cells])),
-                    median_re_deg=float(np.median([r.re_deg for r in cells])),
-                    median_abs_td_error_ms=float(np.median([abs(r.td_error_ms) for r in cells])),
-                ))
+                    motion=motion, noise_density=density, rows=len(cells), median_cn=cn,
+                    median_cc=cc, median_re_deg=re_deg, median_abs_td_error_ms=td_ms))
             else:
                 summary.append(SummaryRow(motion=motion, noise_density=density, rows=0,
                                           median_cn=math.nan, median_cc=math.nan,
@@ -394,26 +392,34 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-# the top-level keys config_to_dict writes
+# the keys config_to_dict writes at the top level, in geometry (plus the
+# legacy twists) and in each truth
 _CONFIG_KEYS = frozenset({"geometry", "truths", "noise_densities", "motions", "optimizer", "seeds",
                           "output_dir"})
+_GEOMETRY_KEYS = frozenset({"hip_limits", "thigh_limits", "calf_limits", "twists"})
+_TRUTH_KEYS = frozenset({"euler_deg", "t_d_s"})
+
+
+def _reject_unknown(doc: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}; "
+                         f"expected keys are {', '.join(sorted(known))}")
 
 
 def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     """Build a config from a JSON document.
 
     Missing sections take the values of ``default_experiment_config`` for
-    the document's optimizer seed. A top-level key that ``config_to_dict``
-    does not write raises ValueError naming it, so a misspelt section
-    cannot fall back to the defaults unnoticed. A ``geometry.twists``
+    the document's optimizer seed. A key that ``config_to_dict`` does not
+    write, at the top level, in ``geometry`` or in a truth, raises
+    ValueError naming it, so a misspelt section or field cannot fall back
+    to its default unnoticed. A ``geometry.twists``
     entry, which older documents carry, must be the leg's fixed
     modified-DH twists (0, -pi/2, 0, 0) to 1e-12; the foot velocity map is
     defined for no other set, so any other value raises ValueError here.
     """
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}; "
-                         f"expected keys are {', '.join(sorted(_CONFIG_KEYS))}")
+    _reject_unknown(doc, _CONFIG_KEYS, "config")
     optimizer = OptimizerConfig(**doc.get("optimizer", {}))
     lists = {name: tuple(doc[name]) for name in ("noise_densities", "seeds") if name in doc}
     if "motions" in doc:
@@ -424,6 +430,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     sections = {}
     if "geometry" in doc:
         g = doc["geometry"]
+        _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
         if "twists" in g:
             twists = np.asarray(g["twists"], dtype=float)
             if not (twists.shape == (4,)
@@ -435,6 +442,8 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
             calf_limits=tuple(g["calf_limits"]),
         )
     if "truths" in doc:
+        for foot, spec in doc["truths"].items():
+            _reject_unknown(spec, _TRUTH_KEYS, f"truths.{foot}")
         sections["truths"] = {foot: GroundTruth.from_euler_deg(*spec["euler_deg"],
                                                                time_offset=spec.get("t_d_s", 0.0))
                               for foot, spec in doc["truths"].items()}

@@ -3,6 +3,14 @@
 All numeric text is written with 17 significant digits so round trips
 preserve doubles exactly, and files end with a newline. Writers are
 deterministic: identical inputs produce byte-identical files.
+
+A float table's first column is its time or lag grid. The writer formats
+each distinct grid once and keeps the text of the last few grids (keyed on
+their bytes), so two dumps on one grid, or every offset scan of a matrix
+run, format only their other columns. Tables are parsed by numpy's C
+tokenizer (``np.loadtxt``), which rounds correctly as ``float`` does, so a
+write-read round trip is bit-exact. It rejects values that ``float`` alone
+would take, such as ``1_0``.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from functools import lru_cache
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,27 +37,59 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+@lru_cache(maxsize=4)
+def _grid_text(grid: bytes) -> tuple[str, ...]:
+    """``%.17g`` text of each value of a float64 grid given as its bytes."""
+    return tuple(["%.17g" % v for v in np.frombuffer(grid).tolist()])
+
+
 def _write_table(path, header: str, matrix, tag: str = "") -> None:
     """Write ``header`` and one line per row of the float matrix: its values
     in ``%.17g``, then ``tag`` as a last field when one is given."""
     data = np.asarray(matrix, dtype=float)
-    row = ",".join(["%.17g"] * data.shape[1] + ([tag] if tag else []))
-    text = "\n".join([header] + [row] * len(data)) % tuple(data.ravel().tolist())
-    Path(path).write_text(text + "\n")
+    rest = ",%.17g" * (data.shape[1] - 1) + ("," + tag if tag else "")
+    rows = (rest + "\n").join(_grid_text(data[:, 0].tobytes()) + ("",))
+    Path(path).write_text(f"{header}\n{rows}" % tuple(data[:, 1:].ravel().tolist()))
 
 
-def _read_table(path, header: str, tagged: bool = False) -> tuple[np.ndarray, set[str]]:
-    """Float matrix of the rows under ``header``, and the set of their tags
-    (the last field) for a tagged table."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != header:
+# the line breaks str.splitlines honours besides the "\n" that reading
+# text normalizes every line end to; a table holds none of them
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _read_table(path, header: str, tagged: bool = False) -> tuple[np.ndarray, str]:
+    """Float matrix of the rows under ``header``, and for a tagged table the
+    tag (the last field) that every row must carry.
+
+    Each line under the header is one row of the header's field count, and
+    the table needs at least one; ``np.loadtxt`` parses the rows once the
+    tag column is cut off, and their count must equal the line count, since
+    it skips the blank lines that are malformed here.
+    """
+    head, _, body = (Path(path).read_text().strip() + "\n").partition("\n")
+    if head != header:
         raise ValueError(f"{path}: expected header {header!r}")
+    if not body:
+        raise ValueError(f"{path}: no rows under the header")
+    if any(c in body for c in _OTHER_BREAKS):
+        raise ValueError(f"{path}: a line break other than \\n")
+    lines = body.count("\n")
     width = header.count(",") + 1
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"{path}: expected {width} columns")
-    tags = {row.pop() for row in rows} if tagged else set()
-    return np.array(rows, dtype=float).reshape(len(rows), width - 1 if tagged else width), tags
+    tag = ""
+    if tagged:
+        tag = body[:body.index("\n")].rsplit(",", 1)[-1]
+        end = f",{tag}\n"
+        if body.count(end) != lines:
+            raise ValueError(f"{path}: expected every row to end in the tag {tag!r} of the first")
+        body = body.replace(end, "\n")
+        width -= 1
+    try:
+        data = np.loadtxt(StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # a field that is no number, or a row of another width
+        raise ValueError(f"{path}: {exc}") from None
+    if data.shape != (lines, width):
+        raise ValueError(f"{path}: expected {lines} rows of {width} numbers, got {data.shape}")
+    return data, tag
 
 
 def write_trajectory(path, traj: JointTrajectory) -> None:
@@ -67,10 +109,8 @@ def write_measurements(path, series: AngularVelocitySeries) -> None:
 
 
 def read_measurements(path) -> AngularVelocitySeries:
-    data, frames = _read_table(path, MEASUREMENT_HEADER, tagged=True)
-    if len(frames) != 1:
-        raise ValueError(f"{path}: expected a single frame tag, got {sorted(frames)}")
-    return AngularVelocitySeries(data[:, 0], data[:, 1:], Frame(frames.pop()))
+    data, frame = _read_table(path, MEASUREMENT_HEADER, tagged=True)
+    return AngularVelocitySeries(data[:, 0], data[:, 1:], Frame(frame))
 
 
 def _dump_json(path, payload) -> None:

@@ -232,6 +232,22 @@ class TestFloorScreen:
         assert len(checked) == 1 and 0 < checked[0] < len(stack)
         assert usable[-4]  # the indefinite matrix clears the floor of its absolute eigenvalues
 
+    def test_rounding_level_middle_eigenvalue_is_not_cleared(self):
+        # eigenvalues 1, 1e-17 and 1e-19 under a rotation: the computed sum
+        # of principal 2x2 minors comes out negative while the Cholesky
+        # determinant stays positive, so det > 1e-9 e2 tr would clear this
+        # singular matrix; the floored e2 sends it to the eigenvalue check
+        upper = np.array([9.578516766157136e-05, 0.007597003533573896, 0.006169402740467203,
+                          0.6025407074825678, 0.4893134872924363, 0.3973635073497704])[:, None]
+        sigma = np.empty((1, 3, 3))
+        sigma[:, _ROWS, _COLS] = sigma[:, _COLS, _ROWS] = upper.T
+        s00, s01, s02, s11, s12, s22 = upper
+        l00, _, _, l11, _, l22 = _cholesky(upper)
+        assert s00 * s11 - s01 ** 2 + s00 * s22 - s02 ** 2 + s11 * s22 - s12 ** 2 < 0.0
+        assert np.square(l00 * l11 * l22) > 0.0
+        assert _singular(sigma)[0]
+        assert not _usable(upper, (l00, l11, l22))[0]
+
     def test_no_eigenvalue_check_when_every_matrix_clears_the_screen(self, monkeypatch):
         def failing_singular(sigma):
             raise AssertionError("_singular called")

@@ -166,6 +166,18 @@ class TestConfig:
         config = default_experiment_config(tmp_path / "out", seeds=(4,))
         assert config_from_dict(config_to_dict(config)).seeds == (4,)
 
+    def test_unknown_key_inside_a_section_rejected(self, tmp_path):
+        # a misspelt field must not load its default: td_s would have left
+        # FL's time offset at 0.0, and hip_limt would have been dropped
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        doc["truths"]["FL"] = {"euler_deg": [10, 20, 30], "td_s": 0.05}
+        with pytest.raises(ValueError, match="truths.FL key 'td_s'"):
+            config_from_dict(doc)
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        doc["geometry"]["hip_limt"] = [-0.5, 0.5]
+        with pytest.raises(ValueError, match="geometry key 'hip_limt'"):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
     def test_removed_optimizer_key_rejected(self, tmp_path, key):
         # the loss gradient is analytic and the descent keeps the joints

@@ -72,6 +72,128 @@ class TestMeasurementDump:
             fio.read_measurements(path)
 
 
+MEASUREMENT_ROWS = ["0,1,2,3,FootIMU", "0.002,1,2,3,FootIMU", "0.004,1,2,3,FootIMU"]
+TRAJECTORY_ROWS = ["0,1,2,3,4,5,6", "0.002,1,2,3,4,5,6", "0.004,1,2,3,4,5,6"]
+
+
+def measurement_file(*rows):
+    return fio.MEASUREMENT_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def trajectory_file(*rows):
+    return fio.TRAJECTORY_HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def reference_table(header, matrix, tag=""):
+    """The table text spelled out value by value: each float in ``%.17g``."""
+    lines = [header] + [",".join([f"{v:.17g}" for v in row] + ([tag] if tag else []))
+                        for row in np.asarray(matrix, dtype=float)]
+    return "\n".join(lines) + "\n"
+
+
+class TestTableReader:
+    def test_well_formed_tables_load(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(measurement_file(*MEASUREMENT_ROWS))
+        assert len(fio.read_measurements(path).time_grid) == 3
+        path.write_text(trajectory_file(*TRAJECTORY_ROWS))
+        assert len(fio.read_trajectory(path)) == 3
+
+    @pytest.mark.parametrize("reader, text", [
+        (fio.read_trajectory, "t,theta_hip\n" + "\n".join(TRAJECTORY_ROWS) + "\n"),
+        (fio.read_measurements, measurement_file(MEASUREMENT_ROWS[0], "0.002,1,2,3,4,FootIMU",
+                                                 MEASUREMENT_ROWS[2])),
+        (fio.read_trajectory, trajectory_file(TRAJECTORY_ROWS[0], "0.002,1,2,3,4,5,6,7",
+                                              TRAJECTORY_ROWS[2])),
+        (fio.read_measurements, measurement_file(MEASUREMENT_ROWS[0], "0.002,1,2,FootIMU",
+                                                 MEASUREMENT_ROWS[2])),
+        (fio.read_measurements, measurement_file(MEASUREMENT_ROWS[0], "0.002,1,2,3",
+                                                 MEASUREMENT_ROWS[2])),
+        (fio.read_trajectory, trajectory_file(TRAJECTORY_ROWS[0], "0.002,1,2,3,4,5",
+                                              TRAJECTORY_ROWS[2])),
+        (fio.read_measurements, measurement_file(MEASUREMENT_ROWS[0], "0.002,1,2,3,4,FootIMU",
+                                                 "0.004,1,2,FootIMU")),
+        (fio.read_trajectory, trajectory_file(TRAJECTORY_ROWS[0], "0.002,1,2,3,4,5,6,7",
+                                              "0.004,1,2,3,4,5")),
+        (fio.read_measurements, measurement_file(MEASUREMENT_ROWS[0], "", *MEASUREMENT_ROWS[1:])),
+        (fio.read_trajectory, trajectory_file(TRAJECTORY_ROWS[0], "", *TRAJECTORY_ROWS[1:])),
+        (fio.read_trajectory, trajectory_file(TRAJECTORY_ROWS[0], "   ", *TRAJECTORY_ROWS[1:])),
+        (fio.read_measurements, measurement_file(MEASUREMENT_ROWS[0] + "\x0c",
+                                                 *MEASUREMENT_ROWS[1:])),
+        (fio.read_measurements, measurement_file("# a comment", *MEASUREMENT_ROWS)),
+        (fio.read_trajectory, trajectory_file(TRAJECTORY_ROWS[0], "# a comment",
+                                              *TRAJECTORY_ROWS[1:])),
+        (fio.read_measurements, fio.MEASUREMENT_HEADER + "\n"),
+        (fio.read_trajectory, fio.TRAJECTORY_HEADER + "\n"),
+        (fio.read_measurements, ""),
+        (fio.read_measurements, measurement_file(*MEASUREMENT_ROWS[:2], "0.004,1,2,3,FootKinematic")),
+        (fio.read_measurements, measurement_file(*MEASUREMENT_ROWS[:2], "0.004,1,2,3,")),
+        (fio.read_measurements, measurement_file(*MEASUREMENT_ROWS[:2], "0.004,1,,3,FootIMU")),
+    ], ids=["bad-header", "extra-field-tagged", "extra-field", "missing-field-tagged", "missing-tag",
+            "missing-field", "extra-and-missing-tagged", "extra-and-missing", "blank-line-tagged",
+            "blank-line", "whitespace-line", "form-feed-line-break", "comment-line-tagged",
+            "comment-line", "header-only-tagged", "header-only", "empty-file", "mixed-tags",
+            "empty-tag", "empty-value"])
+    def test_malformed_table_rejected(self, tmp_path, reader, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            reader(path)
+
+    def test_awkward_doubles_round_trip_bit_exact(self, tmp_path):
+        awkward = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 0.30000000000000004,
+                   -2.2250738585072014e-308, 1 / 3]
+        samples = np.array(awkward + awkward[::-1] + awkward[1:] + awkward[:1]).reshape(-1, 3)
+        grid = np.arange(len(samples)) * 0.002
+        grid[0] = -0.0
+        series = AngularVelocitySeries(grid, samples, Frame.FOOT_IMU)
+        path = tmp_path / "meas.csv"
+        fio.write_measurements(path, series)
+        loaded = fio.read_measurements(path)
+        assert loaded.samples.tobytes() == samples.tobytes()
+        assert loaded.time_grid.tobytes() == grid.tobytes()
+
+
+class TestTableWriter:
+    def test_two_dumps_on_one_grid(self, tmp_path):
+        rng = np.random.default_rng(11)
+        grid = np.arange(40) / 500.0
+        for name, frame in [("a.csv", Frame.FOOT_IMU), ("b.csv", Frame.FOOT_KINEMATIC),
+                            ("c.csv", Frame.FOOT_IMU)]:
+            samples = rng.normal(size=(40, 3))
+            fio.write_measurements(tmp_path / name, AngularVelocitySeries(grid, samples, frame))
+            assert (tmp_path / name).read_text() == reference_table(
+                fio.MEASUREMENT_HEADER, np.column_stack([grid, samples]), frame.value)
+
+    def test_grids_one_ulp_apart(self, tmp_path):
+        samples = np.random.default_rng(12).normal(size=(30, 3))
+        grid = np.arange(30) / 500.0
+        nudged = grid.copy()
+        nudged[17] = np.nextafter(nudged[17], 1.0)
+        signed = grid.copy()
+        signed[0] = -0.0
+        for i, g in enumerate([grid, nudged, grid, signed, nudged]):
+            path = tmp_path / f"{i}.csv"
+            fio.write_measurements(path, AngularVelocitySeries(g, samples, Frame.FOOT_IMU))
+            expected = reference_table(fio.MEASUREMENT_HEADER, np.column_stack([g, samples]),
+                                       "FootIMU")
+            assert path.read_text() == expected
+            assert fio.read_measurements(path).time_grid.tobytes() == g.tobytes()
+
+    def test_scans_and_trajectories_on_one_grid(self, tmp_path, trajectory):
+        lags = np.linspace(-0.05, 0.05, 51)
+        for i in range(2):
+            scan = np.column_stack([lags, np.cos(lags * (i + 1))])
+            fio.write_offset_scan(tmp_path / f"scan{i}.csv", scan)
+            assert (tmp_path / f"scan{i}.csv").read_text() == reference_table("t_d,r", scan)
+        fio.write_trajectory(tmp_path / "traj.csv", trajectory)
+        assert (tmp_path / "traj.csv").read_text() == reference_table(
+            fio.TRAJECTORY_HEADER, np.column_stack([
+                trajectory.time_grid, trajectory.theta_hip, trajectory.theta_thigh,
+                trajectory.theta_calf, trajectory.dtheta_hip, trajectory.dtheta_thigh,
+                trajectory.dtheta_calf]))
+
+
 class TestJsonDocuments:
     def test_ground_truth_round_trip(self, tmp_path):
         truth = GroundTruth.from_euler_deg(104.0, 17.0, 21.0, time_offset=0.012)
