@@ -4,12 +4,16 @@ The time offset is found by sliding the IMU stream over the kinematic
 foot-end series one sample at a time, scoring each integer lag by the
 trace correlation, and refining the best lag to a fraction of a sample
 with a parabola through its two neighbours. Every lag is scored in one
-pass: the cross-covariances of all lags come from nine ``np.correlate``
-calls and the IMU auto-covariances from windowed prefix sums. Each lag
-is then scored in closed form by whitening: the foot covariance is
-Cholesky-factored once, each IMU auto-covariance in closed form, and
-three times the squared trace correlation is the squared Frobenius norm
-of the whitened cross-covariance. A determinant screen clears most lags of the
+pass. The cross-covariances of all lags are one generalized
+cross-correlation (Knapp & Carter, 1976): the real FFT of the IMU block
+times the conjugate spectrum of the foot window, transformed back. The
+IMU auto-covariances come from windowed prefix sums. Each lag is then
+scored in closed form by whitening: three times the squared trace
+correlation is the squared Frobenius norm of the cross-covariance
+whitened on both sides by Cholesky factors. The foot side of the scan,
+its covariance, condition number and whitened spectrum, depends only on
+the foot window, so it is computed once per window and shared by every
+scan of that window. A determinant screen clears most lags of the
 singular-value floor, so only the doubtful ones reach an eigensolver.
 The extrinsic rotation then comes from an SVD-projected product of the
 covariance matrices at the refined offset.
@@ -18,8 +22,8 @@ covariance matrices at the refined offset.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,30 +156,27 @@ def _usable(upper: np.ndarray, diagonal: tuple[np.ndarray, np.ndarray, np.ndarra
     return usable
 
 
-def _trace_correlations(upper_ii: np.ndarray, sigma_if: np.ndarray, sigma_ff: np.ndarray) -> np.ndarray:
+def _trace_correlations(upper_ii: np.ndarray, whitened_if: np.ndarray) -> np.ndarray:
     """Trace correlations of L stacked IMU covariances against one foot covariance.
 
-    ``upper_ii`` is (6, L), the distinct entries of each S_II; ``sigma_if``
-    is (3, 3, L), S_IF with the stack index last; ``sigma_ff`` must be
-    positive definite. With S_FF = L_F L_F^T and S_II = L_I L_I^T,
-    Tr(S_II^-1 S_IF S_FF^-1 S_FI) = ||L_I^-1 S_IF L_F^-T||_F^2, so
-    r^2 is that squared Frobenius norm over 3: M = S_IF L_F^-T is one
-    batched product, and L_I^-1 M is forward substitution over the stack.
-    An S_II that ``_usable`` rejects scores NaN, and so does one that
-    clears the floor but is indefinite, which a covariance can be only by
-    rounding far below the floor. A root above 1 by more than 1e-9 warns
-    once per call, naming the largest, and every root is clamped to 1.
+    ``upper_ii`` is (6, L), the distinct entries of each S_II;
+    ``whitened_if`` is (3, 3, L), S_IF L_F^-T with the stack index last,
+    where S_FF = L_F L_F^T is the positive definite foot covariance. With
+    S_II = L_I L_I^T, Tr(S_II^-1 S_IF S_FF^-1 S_FI) = ||L_I^-1 S_IF
+    L_F^-T||_F^2, so r^2 is that squared Frobenius norm over 3, and
+    L_I^-1 is applied by forward substitution over the stack. An S_II
+    that ``_usable`` rejects scores NaN, and so does one that clears the
+    floor but is indefinite, which a covariance can be only by rounding
+    far below the floor. A root above 1, which only rounding can produce,
+    is clamped to 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         l00, l10, l20, l11, l21, l22 = _cholesky(upper_ii)
-        m = np.linalg.inv(np.linalg.cholesky(sigma_ff)) @ sigma_if
-        z0 = m[0] / l00
-        z1 = (m[1] - l10 * z0) / l11
-        z2 = (m[2] - l20 * z0 - l21 * z1) / l22
+        z0 = whitened_if[0] / l00
+        z1 = (whitened_if[1] - l10 * z0) / l11
+        z2 = (whitened_if[2] - l20 * z0 - l21 * z1) / l22
         r = np.sqrt((np.square(z0) + np.square(z1) + np.square(z2)).sum(axis=0) / 3.0)
     r[~_usable(upper_ii, (l00, l11, l22))] = np.nan
-    if np.any(r > 1.0 + 1e-9):
-        warnings.warn(f"trace correlation is {np.nanmax(r)}, clamping to 1")
     return np.minimum(r, 1.0)
 
 
@@ -183,13 +184,12 @@ def trace_correlation(cov: CovarianceSet) -> float:
     """Trace correlation coefficient of the series pair behind ``cov``.
 
     r = sqrt(Tr(S_II^-1 S_IF S_FF^-1 S_FI) / 3), clamped to at most 1,
-    scored by the whitening kernel of the offset scan. A warning is
-    emitted if the raw value exceeds 1 by more than 1e-9.
+    scored by the whitening kernel of the offset scan.
     """
     require_excited(cov.sigma_ii, "sigma_ii")
     require_excited(cov.sigma_ff, "sigma_ff")
-    return float(_trace_correlations(cov.sigma_ii[_ROWS, _COLS][:, None], cov.sigma_if[:, :, None],
-                                     cov.sigma_ff)[0])
+    whitened_if = cov.sigma_if @ np.linalg.inv(np.linalg.cholesky(cov.sigma_ff)).T
+    return float(_trace_correlations(cov.sigma_ii[_ROWS, _COLS][:, None], whitened_if[:, :, None])[0])
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,7 @@ class OffsetEstimate:
     time_offset: float
     scan: np.ndarray  # rows of (integer-lag offset, trace correlation); NaN r marks failures
     covariance: CovarianceSet  # of the pair on the scan window, IMU resampled at time_offset
+    condition_number: float  # of covariance.sigma_ff, whose array is read-only
 
 
 def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries, dt: float,
@@ -228,26 +229,77 @@ def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries, dt: 
     return i0, i1
 
 
-def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, foot_window: np.ndarray,
-                      sigma_ff: np.ndarray, n: int) -> np.ndarray:
-    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with ``foot_window`` per lag k in [-n, n].
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c at least ``n`` (n >= 1), a length the real FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over the 3^b 5^c below the best length so far
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
-    All 2n+1 lags are scored in one pass over the IMU block
-    ``[i0 - n, i1 + n)``, centred once on its own mean so that the prefix
-    sums below carry no DC level into their cancellation. With W the window
-    length and x the centred block:
 
-    - S_IF(k) is ``np.correlate`` of each IMU column with each column of
-      the centred foot window, nine calls that return every lag at once.
-      Only the foot side needs centring, because it sums to zero.
+@lru_cache(maxsize=24)
+def _foot_side(window: bytes, fft_length: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Read-only foot side of the offset scan for a (W, 3) float64 foot window given as its bytes.
+
+    Returns S_FF, its condition number, and the conjugate real spectrum at
+    ``fft_length`` of the centred window whitened by L_F^-1, where
+    S_FF = L_F L_F^T, and divided by W - 1. S_FF below the
+    ``require_excited`` floor raises; an exception is not cached, so such
+    a window raises on every call. Keyed on the window's bytes, every
+    scan of one foot window shares one entry: all cells of a gait, and
+    the noise densities of an a2i trajectory. Twenty-four entries hold
+    the twenty a2i windows of one foot of the default matrix, which come
+    back once per density, with the three gait windows. A default-matrix
+    entry holds at most about 100 KB, key included.
+    """
+    foot_window = np.frombuffer(window).reshape(-1, 3)
+    sigma_ff = sample_covariance(foot_window)
+    require_excited(sigma_ff, "sigma_ff")
+    whitening = np.linalg.inv(np.linalg.cholesky(sigma_ff))
+    whitened = whitening @ (foot_window - column_means(foot_window)).T
+    spectrum = np.conj(np.fft.rfft(whitened, fft_length)) / (len(foot_window) - 1)
+    sigma_ff.flags.writeable = False
+    spectrum.flags.writeable = False
+    return sigma_ff, condition_number(sigma_ff), spectrum
+
+
+def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, n: int,
+                      foot_spectrum: np.ndarray, fft_length: int) -> np.ndarray:
+    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with the foot window per lag k in [-n, n].
+
+    ``foot_spectrum`` is the foot side of ``_foot_side`` at ``fft_length``,
+    which is at least the block length W + 2n. All 2n+1 lags are scored in
+    one pass over the IMU block ``[i0 - n, i1 + n)``, centred once on its
+    own mean so that the windowed sums below carry no DC level into their
+    cancellation. With W the window length and x the centred block:
+
+    - S_IF(k) L_F^-T, the whitened cross-covariance, is the inverse real
+      FFT of the block's spectrum times the foot spectrum: one forward
+      transform of three rows, and one inverse transform of three rows per
+      IMU axis. Outputs 0 .. 2n are the lags -n .. n. The zero padding to
+      ``fft_length`` keeps them free of wrap-around, since no product of a
+      block sample with a window sample reaches past W + 2n. The foot
+      window is centred, so the IMU mean would cancel here anyway.
     - S_II(k) = (S2 - S1 S1^T / W) / (W - 1), where S1 and S2 are the
-      windowed sums of x and of the six distinct products x_a x_b, taken
-      as differences of their running sums.
-    - Each lag is scored by ``_trace_correlations``: S_FF is factored
-      once, each S_II(k) in closed form from its six entries, and r^2 is
-      the squared norm of the whitened S_IF(k) over 3.
+      windowed sums of x and of the six distinct products x_a x_b: the
+      sums over the first window, then a running sum of the samples that
+      enter the window minus those that leave it.
+    - Each lag is scored by ``_trace_correlations``: each S_II(k) is
+      factored in closed form from its six entries, and r^2 is the
+      squared norm of the cross-covariance whitened on both sides over 3.
 
-    ``sigma_ff`` belongs to ``foot_window`` and must be positive definite.
+    No temporary holds more than three rows of the transform, and none
+    holds a running sum over the whole block. That keeps the scratch
+    memory of a scan small enough for the allocator to reuse it from one
+    call to the next; nine-row transforms next to whole-block running
+    sums were handed back to the system after each scan and page-faulted
+    in again by the next.
+
     A lag whose S_II(k) is singular at the 1e-12 relative floor scores
     NaN; the determinant screen of ``_usable`` clears most lags, and only
     the rest reach the eigenvalue check of ``_singular``.
@@ -255,21 +307,23 @@ def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, foot_window: np
     width = i1 - i0
     block = imu_samples[i0 - n:i1 + n]
     block = np.ascontiguousarray((block - column_means(block)).T)
-    foot_centred = np.ascontiguousarray((foot_window - column_means(foot_window)).T)
     lag_count = 2 * n + 1
 
-    sigma_if = np.empty((3, 3, lag_count))
+    spectrum = np.fft.rfft(block, fft_length)
+    whitened_if = np.empty((3, 3, lag_count))
     for a in range(3):
-        for b in range(3):
-            sigma_if[a, b] = np.correlate(block[a], foot_centred[b], "valid")
-    sigma_if /= width - 1
+        whitened_if[a] = np.fft.irfft(spectrum[a] * foot_spectrum, fft_length)[:, :lag_count]
 
-    running = np.zeros((9, block.shape[1] + 1))
-    np.cumsum(block, axis=1, out=running[:3, 1:])
-    np.cumsum(block[_ROWS] * block[_COLS], axis=1, out=running[3:, 1:])
-    sums = running[:, width:] - running[:, :lag_count]
+    steps = np.empty((9, lag_count))
+    head = block[:, :width]
+    steps[:3, 0] = head.sum(axis=1)
+    steps[3:, 0] = (head @ head.T)[_ROWS, _COLS]
+    entering, leaving = block[:, width:], block[:, :lag_count - 1]
+    steps[:3, 1:] = entering - leaving
+    steps[3:, 1:] = entering[_ROWS] * entering[_COLS] - leaving[_ROWS] * leaving[_COLS]
+    sums = np.cumsum(steps, axis=1)
     upper_ii = (sums[3:] - sums[_ROWS] * sums[_COLS] / width) / (width - 1)
-    return _trace_correlations(upper_ii, sigma_if, sigma_ff)
+    return _trace_correlations(upper_ii, whitened_if)
 
 
 def _parabolic_peak(rs: np.ndarray, best: int) -> float:
@@ -307,13 +361,13 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
         )
     dt = foot.uniform_dt()
     i0, i1 = _paired_window(imu, foot, dt, search.offset_range, window_samples)
-    foot_window = foot.samples[i0:i1]
-    sigma_ff = sample_covariance(foot_window)
-    require_excited(sigma_ff, "sigma_ff")
-
     n = int(math.floor(search.offset_range / dt + 1e-9))
+    foot_window = foot.samples[i0:i1]
+    fft_length = _fft_length(i1 - i0 + 2 * n)
+    sigma_ff, foot_condition, foot_spectrum = _foot_side(foot_window.tobytes(), fft_length)
+
     lags = np.arange(-n, n + 1)
-    rs = _lag_correlations(imu.samples, i0, i1, foot_window, sigma_ff, n)
+    rs = _lag_correlations(imu.samples, i0, i1, n, foot_spectrum, fft_length)
     if np.isnan(rs).all():
         raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
     ties = np.flatnonzero(rs == np.nanmax(rs))
@@ -324,7 +378,8 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
     return OffsetEstimate(time_offset=time_offset,
                           scan=np.column_stack([lags * dt, rs]),
                           covariance=CovarianceSet(sample_covariance(shifted), sigma_ff,
-                                                   sample_covariance(shifted, foot_window)))
+                                                   sample_covariance(shifted, foot_window)),
+                          condition_number=foot_condition)
 
 
 def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
@@ -397,6 +452,6 @@ def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
     return CalibrationResult(
         rotation=estimate_rotation(cov),
         time_offset=estimate.time_offset,
-        condition_number=condition_number(cov.sigma_ff),
+        condition_number=estimate.condition_number,
         offset_scan=estimate.scan,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,9 @@ def _add_common(parser):
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parse leaves no state in it."""
     parser = argparse.ArgumentParser(prog="footcalib", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

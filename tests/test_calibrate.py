@@ -32,6 +32,8 @@ from footcalib.calibrate import (
     _ROWS,
     _COLS,
     _cholesky,
+    _fft_length,
+    _foot_side,
     _paired_window,
     _singular,
     _usable,
@@ -383,6 +385,161 @@ class TestEstimateTimeOffset:
         with pytest.raises(ValueError):
             estimate_time_offset(foot_series, foot_series,
                                  OffsetSearch(offset_range=foot_series.span / 2))
+
+
+def dot_product_scan(imu, foot, offset_range, window_samples):
+    """Per-lag oracle of the offset scan: each covariance from explicit centred dot
+    products of the slid IMU window with the foot window, r by two linear solves,
+    and NaN where S_II(k) fails the ``require_excited`` floor."""
+    dt = foot.uniform_dt()
+    i0, i1 = _paired_window(imu, foot, dt, offset_range, window_samples)
+    n = int(math.floor(offset_range / dt + 1e-9))
+    f = foot.samples[i0:i1] - foot.samples[i0:i1].mean(axis=0)
+    scale = 1.0 / (i1 - i0 - 1)
+    sigma_ff = np.einsum("ta,tb->ab", f, f) * scale
+    expected = []
+    for k in range(-n, n + 1):
+        x = imu.samples[i0 + k:i1 + k] - imu.samples[i0 + k:i1 + k].mean(axis=0)
+        sigma_ii = np.einsum("ta,tb->ab", x, x) * scale
+        try:
+            require_excited(sigma_ii, "sigma_ii")
+        except IllConditionedError:
+            expected.append(np.nan)
+            continue
+        expected.append(solve_trace_correlation(sigma_ii, sigma_ff,
+                                                np.einsum("ta,tb->ab", x, f) * scale))
+    return np.array(expected)
+
+
+def gait_foot(kind):
+    return trajectory_to_foot_velocity(baseline_gait(kind, RATE))
+
+
+def basis_foot(samples):
+    """The hand-picked calibration motion over ``samples`` samples from t = 0."""
+    return trajectory_to_foot_velocity(eval_basis(GOOD_SPEC, np.arange(samples) / RATE))
+
+
+def white_foot(samples):
+    """Independent normal foot samples, which excite every axis within any 4 samples."""
+    rng = np.random.default_rng(11)
+    return AngularVelocitySeries(np.arange(samples) / RATE, rng.normal(size=(samples, 3)),
+                                 Frame.FOOT_KINEMATIC)
+
+
+class TestFftScan:
+    @pytest.mark.parametrize("make_foot, offset_range, window, block, fft_length", [
+        pytest.param(lambda: gait_foot(GaitKind.WALK), 0.0, None, 2001, 2025, id="one-lag"),
+        pytest.param(lambda: basis_foot(2003), 0.1, None, 2003, 2025, id="prime-block"),
+        pytest.param(lambda: white_foot(2001), 0.1, 4, 104, 108, id="smallest-window"),
+        pytest.param(lambda: gait_foot(GaitKind.WALK), 0.25, None, 2001, 2025, id="walk"),
+        pytest.param(lambda: gait_foot(GaitKind.SPIN), 0.25, None, 2001, 2025, id="spin"),
+        pytest.param(lambda: gait_foot(GaitKind.WAVE), 0.25, None, 2001, 2025, id="wave"),
+        pytest.param(lambda: basis_foot(2001), 0.25, WINDOW, 1250, 1250, id="a2i-period"),
+    ])
+    def test_matches_dot_product_oracle(self, make_foot, offset_range, window, block,
+                                        fft_length):
+        # the FFT scores every lag at once; each lag must agree with its own
+        # dot products to a relative 1e-10, the tolerance of the solve
+        # oracle, so a wrapped or misaligned lag at either scan edge shows.
+        # The block is the IMU span the scan reads, W + 2n samples, and the
+        # transform length the next 5-smooth number at or above it; 2003 is
+        # prime, and 4 is the smallest window whose foot covariance can
+        # clear the floor (W - 1 >= 3), so that case scans white samples
+        foot = make_foot()
+        truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
+        imu = simulate_imu(foot, truth, NoiseModel(0.006, seed=5))
+        i0, i1 = _paired_window(imu, foot, foot.uniform_dt(), offset_range, window)
+        n = int(math.floor(offset_range * RATE + 1e-9))
+        assert (i1 - i0 + 2 * n, _fft_length(i1 - i0 + 2 * n)) == (block, fft_length)
+        estimate = estimate_time_offset(imu, foot, OffsetSearch(offset_range), window)
+        expected = dot_product_scan(imu, foot, offset_range, window)
+        assert len(expected) == 2 * n + 1
+        np.testing.assert_array_equal(np.isnan(estimate.scan[:, 1]), np.isnan(expected))
+        np.testing.assert_allclose(estimate.scan[:, 1], expected, rtol=1e-10, atol=0,
+                                   equal_nan=True)
+
+    def test_fft_length_is_the_smallest_5_smooth_number_at_least_n(self):
+        limit = 5000
+        smooth = []
+        for m in range(1, 2 * limit):
+            rest = m
+            for p in (2, 3, 5):
+                while rest % p == 0:
+                    rest //= p
+            if rest == 1:
+                smooth.append(m)
+        smooth = np.array(smooth)
+        for n in range(1, limit + 1):
+            assert _fft_length(n) == smooth[np.searchsorted(smooth, n)], n
+
+
+class TestFootSideCache:
+    @staticmethod
+    def scan(imu, foot):
+        return estimate_time_offset(imu, foot, OffsetSearch(0.1), WINDOW)
+
+    @staticmethod
+    def assert_identical(a, b):
+        np.testing.assert_array_equal(a.scan, b.scan)
+        assert a.time_offset == b.time_offset and a.condition_number == b.condition_number
+        for name in ("sigma_ii", "sigma_ff", "sigma_if"):
+            np.testing.assert_array_equal(getattr(a.covariance, name),
+                                          getattr(b.covariance, name))
+
+    def test_warm_result_is_bit_identical_to_cold(self, foot_series):
+        truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=3))
+        _foot_side.cache_clear()
+        cold = self.scan(imu, foot_series)
+        warm = self.scan(imu, foot_series)
+        assert _foot_side.cache_info().hits == 1
+        self.assert_identical(cold, warm)
+        _foot_side.cache_clear()
+        self.assert_identical(cold, self.scan(imu, foot_series))
+
+    def test_keyed_on_window_content(self, foot_series):
+        # another foot series of the same shape, and the first one after an
+        # in-place change, each get an entry of their own, and each scans as
+        # it would with a cold cache
+        truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=3))
+        samples = foot_series.samples.copy()
+        first = AngularVelocitySeries(foot_series.time_grid, samples, Frame.FOOT_KINEMATIC)
+        other = AngularVelocitySeries(foot_series.time_grid, samples[::-1].copy(),
+                                      Frame.FOOT_KINEMATIC)
+        _foot_side.cache_clear()
+        before = self.scan(imu, first)
+        for foot in (other, first):
+            if foot is first:
+                samples[1000] += 0.5  # inside the scan's foot window
+            seen = self.scan(imu, foot)
+            assert not np.array_equal(seen.covariance.sigma_ff, before.covariance.sigma_ff)
+            _foot_side.cache_clear()
+            self.assert_identical(seen, self.scan(imu, foot))
+            assert _foot_side.cache_info().hits == 0
+        assert _foot_side.cache_info().currsize == 1
+
+    def test_window_below_the_floor_raises_on_every_call(self):
+        imu, foot = z_only_pair()
+        _foot_side.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError):
+                estimate_time_offset(imu, foot, OffsetSearch(0.05))
+        assert _foot_side.cache_info().currsize == 0
+
+    def test_cached_arrays_are_read_only(self, foot_series):
+        truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=3))
+        estimate = self.scan(imu, foot_series)
+        # the one-period window in the middle, and 50 lags on either side of it
+        sigma_ff, _, spectrum = _foot_side(foot_series.samples[500:1500].tobytes(),
+                                           _fft_length(1100))
+        assert estimate.covariance.sigma_ff is sigma_ff
+        for array in (sigma_ff, spectrum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
 
 class TestEstimateRotation:

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from footcalib import AngularVelocitySeries, Frame, default_experiment_config, period_samples
-from footcalib.cli import main
+from footcalib.cli import _build_parser, main
 from footcalib.harness import config_to_dict
 from footcalib.io import read_measurements, read_rows_csv, read_trajectory, write_measurements
 
@@ -145,6 +146,23 @@ class TestTheoremCheck:
         assert code == 0
         assert out.count("PASS") == 8
         assert "FAIL" not in out
+
+
+class TestParser:
+    def test_usage_error_leaves_the_next_parse_intact(self, capsys):
+        # main reuses one parser per process, so a call that exits with a
+        # usage error must leave nothing behind for the next one
+        for argv in (["calibrate", "--imu", "a.csv", "--foot", "b.csv", "--t-r", "wide"],
+                     ["simulate", "--noise", "0.006"], ["no-such-command"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert _build_parser() is _build_parser()
+        args = _build_parser().parse_args(["calibrate", "--imu", "a.csv", "--foot", "b.csv"])
+        assert (args.command, args.t_r, args.seed, args.out) == ("calibrate", 0.25, 0, Path("."))
+        capsys.readouterr()
+        assert main(["theorem-check", "--count", "2", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
 
 
 class TestErrorDocument:
