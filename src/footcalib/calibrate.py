@@ -252,10 +252,13 @@ def _foot_side(window: bytes, fft_length: int) -> tuple[np.ndarray, float, np.nd
     ``require_excited`` floor raises; an exception is not cached, so such
     a window raises on every call. Keyed on the window's bytes, every
     scan of one foot window shares one entry: all cells of a gait, and
-    the noise densities of an a2i trajectory. Twenty-four entries hold
-    the twenty a2i windows of one foot of the default matrix, which come
-    back once per density, with the three gait windows. A default-matrix
-    entry holds at most about 100 KB, key included.
+    the noise densities of an a2i trajectory. A foot's a2i windows come
+    back once per density, after all of its seeds, so they are shared only
+    with at most 24 seeds; with more, the LRU evicts each window just
+    before it comes back and no a2i scan hits. The three gait windows,
+    shared by every foot, outlast the next foot's a2i windows only with at
+    most 21 seeds; the default matrix has 20. A default-matrix entry holds
+    at most about 100 KB, key included.
     """
     foot_window = np.frombuffer(window).reshape(-1, 3)
     sigma_ff = sample_covariance(foot_window)
@@ -405,26 +408,14 @@ def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Estimated extrinsics plus the diagnostics behind them."""
+    """Estimated extrinsics plus the diagnostics behind them, built by ``calibrate``:
+    ``estimate_rotation`` checks the rotation, and ``estimate_time_offset``
+    raises unless the (offset, r) scan holds a finite r."""
 
     rotation: np.ndarray
     time_offset: float
     condition_number: float
     offset_scan: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        if r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if not is_proper_rotation(r):
-            raise ValueError("rotation must be orthogonal with determinant +1 to 1e-9")
-        scan = np.asarray(self.offset_scan, dtype=float)
-        if scan.ndim != 2 or scan.shape[1] != 2:
-            raise ValueError("offset_scan must have shape (n, 2)")
-        if not np.any(np.isfinite(scan[:, 1])):
-            raise ValueError("offset_scan must hold at least one finite correlation")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "offset_scan", scan)
 
     @property
     def correlation(self) -> float:

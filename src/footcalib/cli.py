@@ -147,9 +147,10 @@ def _cmd_matrix(args) -> int:
     else:
         config = harness.default_experiment_config(args.out, base_seed=args.seed)
     overrides = {}
-    if args.noise:
+    # an empty override is kept, for ExperimentConfig to reject
+    if args.noise is not None:
         overrides["noise_densities"] = args.noise
-    if args.motion:
+    if args.motion is not None:
         overrides["motions"] = tuple(harness.Motion(m.strip().lower())
                                      for m in args.motion.split(","))
     if args.seeds is not None:

@@ -392,11 +392,10 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-# the keys config_to_dict writes at the top level, in geometry (plus the
-# legacy twists) and in each truth
+# the keys config_to_dict writes at the top level, in geometry and in each truth
 _CONFIG_KEYS = frozenset({"geometry", "truths", "noise_densities", "motions", "optimizer", "seeds",
                           "output_dir"})
-_GEOMETRY_KEYS = frozenset({"hip_limits", "thigh_limits", "calf_limits", "twists"})
+_GEOMETRY_KEYS = frozenset({"hip_limits", "thigh_limits", "calf_limits"})
 _TRUTH_KEYS = frozenset({"euler_deg", "t_d_s"})
 
 
@@ -414,10 +413,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     the document's optimizer seed. A key that ``config_to_dict`` does not
     write, at the top level, in ``geometry`` or in a truth, raises
     ValueError naming it, so a misspelt section or field cannot fall back
-    to its default unnoticed. A ``geometry.twists``
-    entry, which older documents carry, must be the leg's fixed
-    modified-DH twists (0, -pi/2, 0, 0) to 1e-12; the foot velocity map is
-    defined for no other set, so any other value raises ValueError here.
+    to its default unnoticed.
     """
     _reject_unknown(doc, _CONFIG_KEYS, "config")
     optimizer = OptimizerConfig(**doc.get("optimizer", {}))
@@ -431,11 +427,6 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     if "geometry" in doc:
         g = doc["geometry"]
         _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
-        if "twists" in g:
-            twists = np.asarray(g["twists"], dtype=float)
-            if not (twists.shape == (4,)
-                    and np.all(np.abs(twists - (0.0, -math.pi / 2, 0.0, 0.0)) <= 1e-12)):
-                raise ValueError(f"geometry.twists must be (0, -pi/2, 0, 0), got {g['twists']}")
         sections["geometry"] = LegGeometry(
             hip_limits=tuple(g["hip_limits"]),
             thigh_limits=tuple(g["thigh_limits"]),

@@ -206,23 +206,6 @@ def open_timing_writer(path):
         yield write
 
 
-def read_rows_csv(path) -> list[dict]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != ROWS_HEADER:
-        raise ValueError(f"{path}: expected header {ROWS_HEADER!r}")
-    names = ROWS_HEADER.split(",")
-    rows = []
-    for line in lines[1:]:
-        values = line.split(",")
-        record = dict(zip(names, values))
-        for key in ("noise_density", "cn", "cc", "re_deg", "td_error_ms", "geodesic_deg"):
-            record[key] = float(record[key])
-        record["seed"] = int(record["seed"])
-        record["gimbal_flagged"] = record["gimbal_flagged"] == "1"
-        rows.append(record)
-    return rows
-
-
 def write_summary_csv(path, summary) -> None:
     lines = [SUMMARY_HEADER]
     for cell in summary:

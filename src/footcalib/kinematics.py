@@ -31,15 +31,15 @@ class Frame(Enum):
 class LegGeometry:
     """Joint limits of one leg.
 
-    Limits are closed intervals [lower, upper] in radians. The defaults
-    are absolute Go2-class ranges; experiment configs typically
-    substitute posture-relative limits because generated calibration
-    trajectories oscillate around zero.
+    Limits are closed intervals [lower, upper] in radians. Calibration
+    trajectories oscillate about zero, so the limits that ``optimize``
+    accepts are posture-relative ones that contain zero, such as those of
+    ``harness.calibration_geometry``.
     """
 
-    hip_limits: tuple[float, float] = (-0.84, 0.84)
-    thigh_limits: tuple[float, float] = (-1.5, 3.4)
-    calf_limits: tuple[float, float] = (-2.7, -0.8)
+    hip_limits: tuple[float, float]
+    thigh_limits: tuple[float, float]
+    calf_limits: tuple[float, float]
 
     def __post_init__(self):
         for name in ("hip_limits", "thigh_limits", "calf_limits"):
@@ -162,21 +162,12 @@ def resample(time_grid: np.ndarray, samples: np.ndarray, query: np.ndarray) -> n
     return np.column_stack([np.interp(query, time_grid, samples[:, k]) for k in range(3)])
 
 
-def foot_velocity(dtheta_hip: np.ndarray, theta_sum: np.ndarray, dtheta_sum: np.ndarray) -> np.ndarray:
-    """Foot angular velocity, shape (n, 3), from plain joint arrays.
-
-    ``theta_sum`` and ``dtheta_sum`` are the combined thigh+calf angle and
-    rate. ``trajectory_to_foot_velocity`` applies it to a validated
-    ``JointTrajectory``.
-    """
-    return np.column_stack([
-        -dtheta_hip * np.sin(theta_sum),
-        -dtheta_hip * np.cos(theta_sum),
-        dtheta_sum,
-    ])
-
-
 def trajectory_to_foot_velocity(traj: JointTrajectory) -> AngularVelocitySeries:
     """Map a joint trajectory to the foot-end angular-velocity series."""
-    omega = foot_velocity(traj.dtheta_hip, traj.theta_sum, traj.dtheta_sum)
+    theta_sum = traj.theta_sum
+    omega = np.column_stack([
+        -traj.dtheta_hip * np.sin(theta_sum),
+        -traj.dtheta_hip * np.cos(theta_sum),
+        traj.dtheta_sum,
+    ])
     return AngularVelocitySeries(traj.time_grid, omega, Frame.FOOT_KINEMATIC)

@@ -65,13 +65,14 @@ class BasisSpec:
     ``hip_rate_coeffs[k]`` is the sine amplitude of the hip rate and
     ``pitch_rate_coeffs[k]`` the cosine amplitude of the combined
     thigh+calf rate, both at angular frequency (2k+1) * base_frequency.
+    The base frequency is 2*pi/period, so every harmonic runs a whole
+    number of cycles per period, as the diagonal covariance needs.
     ``calf_share`` splits the combined rate between calf (share) and thigh
     (remainder).
     """
 
     hip_rate_coeffs: np.ndarray    # rad/s
     pitch_rate_coeffs: np.ndarray  # rad/s
-    base_frequency: float          # rad/s
     period: float                  # s
     calf_share: float = 0.0
 
@@ -82,8 +83,8 @@ class BasisSpec:
             raise ValueError("coefficient arrays must be equal-length 1-d with at least one harmonic")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("coefficients must be finite")
-        if not (0 < self.base_frequency < math.inf and 0 < self.period < math.inf):
-            raise ValueError("base_frequency and period must be finite and positive")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be finite and positive")
         if not 0.0 <= self.calf_share <= 1.0:
             raise ValueError(f"calf_share must be in [0, 1], got {self.calf_share}")
         object.__setattr__(self, "hip_rate_coeffs", a)
@@ -94,13 +95,18 @@ class BasisSpec:
         return len(self.hip_rate_coeffs)
 
     @property
+    def base_frequency(self) -> float:
+        """2*pi/period rad/s."""
+        return 2.0 * math.pi / self.period
+
+    @property
     def angular_frequencies(self) -> np.ndarray:
-        return _angular_frequencies(self.harmonic_count, self.base_frequency)
+        return _angular_frequencies(self.harmonic_count, self.period)
 
 
-def _angular_frequencies(harmonic_count: int, base_frequency: float) -> np.ndarray:
-    """Odd multiples 1, 3, 5, ... of the base frequency."""
-    return (2 * np.arange(1, harmonic_count + 1) - 1) * base_frequency
+def _angular_frequencies(harmonic_count: int, period: float) -> np.ndarray:
+    """Odd multiples 1, 3, 5, ... of the base frequency 2*pi/period."""
+    return (2 * np.arange(1, harmonic_count + 1) - 1) * (2.0 * math.pi / period)
 
 
 def is_count(value) -> bool:
@@ -114,7 +120,7 @@ class OptimizerConfig:
 
     ``step_size`` scales the initial inverse Hessian, H0 = step_size * I,
     and is the first step of the gradient fallback. ``imu_frequency`` and
-    ``offset_range`` fix the time base (``base_frequency``, ``period``).
+    ``offset_range`` fix the time base (``period``).
     """
 
     kappa_objective: float = 1.2
@@ -135,13 +141,9 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be finite and positive")
 
     @property
-    def base_frequency(self) -> float:
-        """pi/(4*t_r) rad/s: its period 8*t_r supports an unambiguous offset search over ±t_r."""
-        return math.pi / (4.0 * self.offset_range)
-
-    @property
     def period(self) -> float:
-        """Fundamental period 8*t_r in s."""
+        """Fundamental period 8*t_r in s: its base frequency pi/(4*t_r) rad/s
+        supports an unambiguous offset search over ±t_r."""
         return 8.0 * self.offset_range
 
 
@@ -157,7 +159,6 @@ def initial_basis_spec(config: OptimizerConfig, harmonic_count: int = 3,
     return BasisSpec(
         hip_rate_coeffs=rng.uniform(0.5, 1.5, harmonic_count),
         pitch_rate_coeffs=rng.uniform(0.5, 1.5, harmonic_count),
-        base_frequency=config.base_frequency,
         period=config.period,
         calf_share=calf_share,
     )
@@ -187,7 +188,7 @@ def _joint_arrays(spec: BasisSpec, sin_ph: np.ndarray, cos_ph: np.ndarray) -> tu
 
 
 @functools.lru_cache(maxsize=16)
-def _period_basis(harmonic_count: int, base_frequency: float, period: float,
+def _period_basis(harmonic_count: int, period: float,
                   imu_frequency: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only one-period grid and the sin and cos basis rows on it.
 
@@ -197,7 +198,7 @@ def _period_basis(harmonic_count: int, base_frequency: float, period: float,
     and lifts the covariance off-diagonals far above machine precision.
     """
     grid = np.arange(period_samples(period, imu_frequency)) / imu_frequency
-    phase = np.outer(_angular_frequencies(harmonic_count, base_frequency), grid)
+    phase = np.outer(_angular_frequencies(harmonic_count, period), grid)
     arrays = (grid, np.sin(phase), np.cos(phase))
     for a in arrays:
         a.flags.writeable = False
@@ -276,13 +277,12 @@ def _period_terms(spec: BasisSpec, config: OptimizerConfig):
     """What the loss and its gradient share over one period of ``spec``: the
     basis rows, the joint arrays, sin and cos of the thigh+calf angle, the
     centred foot velocity and its covariance."""
-    _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.base_frequency, spec.period,
-                                      config.imu_frequency)
+    _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.period, config.imu_frequency)
     joints = _joint_arrays(spec, sin_ph, cos_ph)
     theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf = joints
     # the same float operations, in the same order, as eval_basis followed
-    # by trajectory_to_foot_velocity (foot_velocity) and sample_covariance,
-    # so kappa equals the checked path's
+    # by trajectory_to_foot_velocity and sample_covariance, so kappa equals
+    # the checked path's
     phi = theta_thigh + theta_calf
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     omega = np.column_stack([-dtheta_hip * sin_phi, -dtheta_hip * cos_phi,

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -27,3 +28,13 @@ def solve_trace_correlation(sigma_ii, sigma_ff, sigma_if):
     """Trace-correlation oracle by two linear solves: sqrt(Tr(S_II^-1 S_IF S_FF^-1 S_FI) / 3)."""
     product = np.linalg.solve(sigma_ii, sigma_if) @ np.linalg.solve(sigma_ff, sigma_if.T)
     return math.sqrt(np.trace(product) / 3.0)
+
+
+def read_rows(path):
+    """Records of a matrix run's rows.csv, with its float columns parsed."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        for key in ("noise_density", "cn", "cc", "re_deg", "td_error_ms", "geodesic_deg"):
+            row[key] = float(row[key])
+    return rows

@@ -42,7 +42,7 @@ def test_install_patches_and_uninstall_restores_every_site(tracing):
         # globals: one gradient per iteration, and a loss for the start
         # and for each candidate step
         optimizer = importlib.import_module("footcalib.optimizer")
-        spec = BasisSpec([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], math.pi, 2.0)
+        spec = BasisSpec([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], 2.0)
         optimizer.optimize(spec, OptimizerConfig(max_iterations=1), calibration_geometry())
         table = tracer.span_table()
         assert table["optimizer.loss_gradient"]["calls"] == 1

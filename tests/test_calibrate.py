@@ -49,7 +49,7 @@ calibrate_module = importlib.import_module("footcalib.calibrate")
 # Hand-picked low-condition-number basis amplitudes; calibration tests
 # should not depend on optimizer behaviour.
 GOOD_SPEC = BasisSpec(hip_rate_coeffs=[1.2, 0.8, 5.3], pitch_rate_coeffs=[3.7, 0.4, 0.3],
-                      base_frequency=math.pi, period=2.0)
+                      period=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -657,8 +657,10 @@ class TestCalibrate:
                                    condition_number=1.0, offset_scan=scan)
         assert result.correlation == 0.6
 
-    def test_result_requires_a_finite_correlation(self):
-        scan = np.array([[0.0, np.nan], [0.002, np.nan]])
-        with pytest.raises(ValueError, match="finite correlation"):
-            CalibrationResult(rotation=np.eye(3), time_offset=0.0, condition_number=1.0,
-                              offset_scan=scan)
+    def test_silent_imu_fails_every_lag(self, foot_series):
+        # a zero IMU covariance is singular at every lag, so no lag scores
+        # and no result can hold a finite correlation
+        silent = AngularVelocitySeries(foot_series.time_grid, np.zeros((len(foot_series), 3)),
+                                       Frame.FOOT_IMU)
+        with pytest.raises(IllConditionedError, match="every offset candidate failed"):
+            calibrate(silent, foot_series, SEARCH, WINDOW)

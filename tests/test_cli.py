@@ -7,7 +7,8 @@ import pytest
 from footcalib import AngularVelocitySeries, Frame, default_experiment_config, period_samples
 from footcalib.cli import _build_parser, main
 from footcalib.harness import config_to_dict
-from footcalib.io import read_measurements, read_rows_csv, read_trajectory, write_measurements
+from footcalib.io import read_measurements, read_trajectory, write_measurements
+from conftest import read_rows
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +100,22 @@ class TestMatrixCommand:
         code = main(["matrix", "--out", str(out), "--noise", "0.006",
                      "--motion", "a2i", "--seeds", "1"])
         assert code == 0
-        rows = read_rows_csv(out / "rows.csv")
+        rows = read_rows(out / "rows.csv")
         assert len(rows) == 4
         assert all(not r["error"] for r in rows)
+
+    @pytest.mark.parametrize("override", [
+        ["--noise", "", "--motion", "walk"],
+        ["--motion", "", "--noise", "0.006"],
+    ], ids=["noise", "motion"])
+    def test_empty_override_rejected(self, tmp_path, capsys, override):
+        # an empty override must not stand for the default densities or motions
+        out = tmp_path / "matrix"
+        code = main(["matrix", "--out", str(out), "--seeds", "1", *override])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert json.loads(captured.err)["error"]["type"] == "ValueError"
+        assert not out.exists()
 
     def test_config_with_limits_excluding_zero_rejected(self, tmp_path, capsys):
         # the Go2 calf limits (-2.7, -0.8) fit no a2i trajectory: the

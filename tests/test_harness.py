@@ -30,7 +30,7 @@ from footcalib.harness import (
     load_config,
     save_config,
 )
-from footcalib.io import read_rows_csv
+from conftest import read_rows
 
 
 class TestRotationError:
@@ -173,10 +173,12 @@ class TestConfig:
         doc["truths"]["FL"] = {"euler_deg": [10, 20, 30], "td_s": 0.05}
         with pytest.raises(ValueError, match="truths.FL key 'td_s'"):
             config_from_dict(doc)
-        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
-        doc["geometry"]["hip_limt"] = [-0.5, 0.5]
-        with pytest.raises(ValueError, match="geometry key 'hip_limt'"):
-            config_from_dict(doc)
+        # twists, which older documents carry, is no longer a geometry key
+        for key in ("hip_limt", "twists"):
+            doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+            doc["geometry"][key] = [-0.5, 0.5]
+            with pytest.raises(ValueError, match=f"geometry key '{key}'"):
+                config_from_dict(doc)
 
     @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
     def test_removed_optimizer_key_rejected(self, tmp_path, key):
@@ -196,22 +198,6 @@ class TestConfig:
             config_from_dict(doc)
         doc["motions"] = ["walk", "spin", "wave"]
         assert config_from_dict(doc).geometry.calf_limits == (-2.7, -0.8)
-
-    def test_nonstandard_twists_rejected(self, tmp_path):
-        # the foot velocity map holds for the leg's twists (0, -pi/2, 0, 0) only
-        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
-        for twists in ([0.0, -math.pi / 3, 0.0, 0.0], [0.0, -math.pi / 2, 0.0, math.nan],
-                       [0.0, -math.pi / 2, 0.0]):
-            doc["geometry"]["twists"] = twists
-            with pytest.raises(ValueError, match="twists"):
-                config_from_dict(doc)
-
-    def test_standard_legacy_twists_load(self, tmp_path):
-        config = default_experiment_config(tmp_path / "out")
-        doc = config_to_dict(config)
-        assert "twists" not in doc["geometry"]
-        doc["geometry"]["twists"] = [0.0, -math.pi / 2, 0.0, 0.0]
-        assert config_from_dict(doc).geometry == config.geometry
 
     def test_validation_errors(self, tmp_path):
         config = default_experiment_config(tmp_path / "out")
@@ -256,12 +242,11 @@ class TestConfig:
     lambda: config_from_dict({"noise_densities": [math.inf]}),
     lambda: GroundTruth(rotation=np.full((3, 3), math.nan), time_offset=0.0),
     lambda: OffsetSearch(offset_range=math.nan),
-    lambda: BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
-                      base_frequency=math.inf, period=2.0),
+    lambda: BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0], period=math.inf),
 ], ids=["density-nan", "density-inf", "sample-rate-nan", "kappa-nan", "kappa-inf",
         "max-iterations-nan", "step-nan", "step-inf",
         "imu-frequency-inf", "offset-range-nan", "offset-range-inf", "matrix-density-nan",
-        "matrix-density-inf", "rotation-nan", "search-range-nan", "base-frequency-inf"])
+        "matrix-density-inf", "rotation-nan", "search-range-nan", "period-inf"])
 def test_nonfinite_input_rejected(build):
     # a NaN fails every comparison, so each check must be written to pass
     # only finite values
@@ -332,7 +317,7 @@ class TestRunMatrix:
 
     def test_summary_matches_recomputation_from_rows(self, small_run):
         config, result = small_run
-        raw = read_rows_csv(config.output_dir / "rows.csv")
+        raw = read_rows(config.output_dir / "rows.csv")
         for cell in result.summary:
             values = [r for r in raw
                       if r["motion"] == cell.motion.value

@@ -72,8 +72,7 @@ class TestTrajectoryToFootVelocity:
     def test_single_harmonic_period_means_vanish(self):
         # over one exact period the y and z component means cancel discretely
         rate = 500.0
-        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
-                         base_frequency=math.pi, period=2.0)
+        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0], period=2.0)
         n = period_samples(spec.period, rate)
         traj = eval_basis(spec, np.arange(n) / rate)
         series = trajectory_to_foot_velocity(traj)
@@ -96,9 +95,9 @@ class TestTrajectoryToFootVelocity:
 class TestDomainTypes:
     def test_geometry_rejects_bad_limits(self):
         with pytest.raises(ValueError):
-            LegGeometry(hip_limits=(0.5, 0.5))
+            LegGeometry(hip_limits=(0.5, 0.5), thigh_limits=(-1.5, 1.5), calf_limits=(-1.5, 1.5))
         with pytest.raises(ValueError):
-            LegGeometry(calf_limits=(1.0, -1.0))
+            LegGeometry(hip_limits=(-0.84, 0.84), thigh_limits=(-1.5, 1.5), calf_limits=(1.0, -1.0))
 
     def test_trajectory_rejects_length_mismatch(self):
         t = np.arange(10) / 100.0

@@ -152,17 +152,21 @@ class TestDeriveSchedule:
 
     def test_reference_schedule(self):
         config = OptimizerConfig()
-        assert config.base_frequency == pytest.approx(math.pi, rel=1e-15)
         assert config.period == pytest.approx(2.0, rel=1e-15)
         assert period_samples(config.period, config.imu_frequency) == 1000
-        spec = initial_basis_spec(config)
-        assert (spec.base_frequency, spec.period) == (config.base_frequency, config.period)
+        assert initial_basis_spec(config).period == config.period
 
     def test_slow_imu_schedule(self):
         config = OptimizerConfig(imu_frequency=100.0, offset_range=0.5)
-        assert config.base_frequency == pytest.approx(math.pi / 2, rel=1e-15)
         assert config.period == pytest.approx(4.0, rel=1e-15)
         assert period_samples(config.period, config.imu_frequency) == 400
+
+    @pytest.mark.parametrize("t_r", [0.25, 0.1, 0.05, 0.04, 0.3, 0.5])
+    def test_base_frequency_is_pi_over_four_t_r_bit_for_bit(self, t_r):
+        # 2*pi/(8*t_r) and pi/(4*t_r) differ only by powers of two, so the
+        # spec's base frequency is the same double as pi/(4*t_r)
+        spec = initial_basis_spec(OptimizerConfig(offset_range=t_r))
+        assert spec.base_frequency == math.pi / (4 * t_r)
 
     @pytest.mark.parametrize("imu_freq, t_r", [(500.0, 0.0), (0.0, 0.25), (500.0, -1.0)])
     def test_nonpositive_inputs_rejected(self, imu_freq, t_r):
@@ -182,8 +186,7 @@ class TestDeriveSchedule:
         config = OptimizerConfig(imu_frequency=imu_freq, offset_range=t_r)
         with pytest.raises(ValueError, match="not a whole number of at least 2"):
             initial_basis_spec(config)
-        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
-                         base_frequency=config.base_frequency, period=config.period)
+        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0], period=config.period)
         with pytest.raises(ValueError, match="not a whole number of at least 2"):
             diagonality_ratio(spec, imu_freq)
         with pytest.raises(ValueError, match="not a whole number of at least 2"):
@@ -192,8 +195,7 @@ class TestDeriveSchedule:
 
 class TestEvalBasis:
     def test_single_harmonic_closed_form(self):
-        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[0.0],
-                         base_frequency=1.0, period=2 * math.pi)
+        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[0.0], period=2 * math.pi)
         t = np.arange(200) / 50.0
         traj = eval_basis(spec, t)
         np.testing.assert_allclose(traj.dtheta_hip, np.sin(t), atol=1e-15)
@@ -201,8 +203,7 @@ class TestEvalBasis:
         np.testing.assert_array_equal(traj.dtheta_thigh, np.zeros(200))
 
     def test_zero_coefficients_give_constant_angles(self):
-        spec = BasisSpec(hip_rate_coeffs=[0.0], pitch_rate_coeffs=[0.0],
-                         base_frequency=math.pi, period=2.0)
+        spec = BasisSpec(hip_rate_coeffs=[0.0], pitch_rate_coeffs=[0.0], period=2.0)
         traj = eval_basis(spec, np.arange(100) / 500.0)
         for name in ("dtheta_hip", "dtheta_thigh", "dtheta_calf"):
             np.testing.assert_array_equal(getattr(traj, name), np.zeros(100))
@@ -212,8 +213,7 @@ class TestEvalBasis:
     def test_angles_integrate_rates(self):
         # central difference of the emitted angles reproduces the emitted
         # rates to the O(dt^2) truncation bound
-        spec = BasisSpec(hip_rate_coeffs=[1.0, 0.5], pitch_rate_coeffs=[0.3, 0.0],
-                         base_frequency=math.pi, period=2.0)
+        spec = BasisSpec(hip_rate_coeffs=[1.0, 0.5], pitch_rate_coeffs=[0.3, 0.0], period=2.0)
         t = np.arange(200) / 100.0
         dt = 0.01
         traj = eval_basis(spec, t)
@@ -227,7 +227,7 @@ class TestEvalBasis:
 
     def test_calf_share_splits_pitch_motion(self):
         spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[2.0],
-                         base_frequency=math.pi, period=2.0, calf_share=0.25)
+                         period=2.0, calf_share=0.25)
         traj = eval_basis(spec, np.arange(100) / 500.0)
         np.testing.assert_allclose(traj.dtheta_calf, 0.25 * (traj.dtheta_thigh + traj.dtheta_calf),
                                    rtol=1e-12)
@@ -235,8 +235,7 @@ class TestEvalBasis:
 
     def test_mismatched_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            BasisSpec(hip_rate_coeffs=[1.0, 0.5], pitch_rate_coeffs=[1.0],
-                      base_frequency=1.0, period=2 * math.pi)
+            BasisSpec(hip_rate_coeffs=[1.0, 0.5], pitch_rate_coeffs=[1.0], period=2 * math.pi)
 
 
 class TestAutoCovariance:
@@ -250,8 +249,7 @@ class TestAutoCovariance:
 
     def test_single_harmonic_period_is_diagonal(self):
         rate = 500.0
-        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
-                         base_frequency=math.pi, period=2.0)
+        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0], period=2.0)
         traj = eval_basis(spec, one_period(spec, rate))
         series = trajectory_to_foot_velocity(traj)
         sigma = sample_covariance(series.samples)
@@ -290,7 +288,7 @@ class TestConditionNumber:
 
 
 IN_BOUNDS_SPEC = BasisSpec(hip_rate_coeffs=[0.5, 0.5, 0.5], pitch_rate_coeffs=[0.5, 0.5, 0.5],
-                           base_frequency=math.pi, period=2.0)
+                           period=2.0)
 
 
 class TestTrajectoryLoss:
@@ -305,8 +303,7 @@ class TestTrajectoryLoss:
 
     def test_matches_brute_force_oracle(self, cal_geometry):
         config = OptimizerConfig()
-        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0],
-                         base_frequency=math.pi, period=2.0)
+        spec = BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0], period=2.0)
         report = trajectory_loss(spec, config, cal_geometry)
         traj = eval_basis(spec, one_period(spec, config.imu_frequency))
         series = trajectory_to_foot_velocity(traj)
@@ -344,7 +341,7 @@ class TestLossGradient:
             counts.add(k)
             spec = BasisSpec(hip_rate_coeffs=rng.uniform(0.2, 4.0, k) * rng.choice([-1, 1], k),
                              pitch_rate_coeffs=rng.uniform(0.2, 8.0, k) * rng.choice([-1, 1], k),
-                             base_frequency=math.pi, period=2.0,
+                             period=2.0,
                              calf_share=float(rng.uniform(0.01, 0.99)))
             report = trajectory_loss(spec, config, cal_geometry)
             assert math.isfinite(report.kappa)
@@ -358,8 +355,7 @@ class TestLossGradient:
 
     @pytest.mark.parametrize("hip", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     def test_infinite_kappa_gives_nan(self, cal_geometry, hip):
-        spec = BasisSpec(hip_rate_coeffs=hip, pitch_rate_coeffs=[0.0, 0.0, 0.0],
-                         base_frequency=math.pi, period=2.0)
+        spec = BasisSpec(hip_rate_coeffs=hip, pitch_rate_coeffs=[0.0, 0.0, 0.0], period=2.0)
         assert trajectory_loss(spec, OptimizerConfig(), cal_geometry).kappa == math.inf
         assert np.all(np.isnan(loss_gradient(spec, OptimizerConfig())))
 
@@ -409,8 +405,7 @@ class TestOptimize:
     def test_infinite_kappa_start_stops_unconverged(self, cal_geometry, hip):
         # the covariance of either start is singular, so the loss and its
         # gradient are not finite
-        initial = BasisSpec(hip_rate_coeffs=hip, pitch_rate_coeffs=[0.0, 0.0, 0.0],
-                            base_frequency=math.pi, period=2.0)
+        initial = BasisSpec(hip_rate_coeffs=hip, pitch_rate_coeffs=[0.0, 0.0, 0.0], period=2.0)
         result = optimize(initial, OptimizerConfig(max_iterations=5), cal_geometry)
         assert not result.converged
         assert result.kappa_final == math.inf
@@ -454,8 +449,7 @@ class TestFusedDescent:
 
 
 def _single_harmonic_kappa(a, b, config, geometry):
-    spec = BasisSpec(hip_rate_coeffs=[a], pitch_rate_coeffs=[b],
-                     base_frequency=math.pi, period=2.0)
+    spec = BasisSpec(hip_rate_coeffs=[a], pitch_rate_coeffs=[b], period=2.0)
     return trajectory_loss(spec, config, geometry).kappa
 
 
@@ -481,7 +475,7 @@ class TestSingleHarmonicFamily:
         rng = np.random.default_rng(config.seed)
         initial = BasisSpec(hip_rate_coeffs=[rng.uniform(0.5, 2.0)],
                             pitch_rate_coeffs=[rng.uniform(0.5, 2.0)],
-                            base_frequency=math.pi, period=2.0)
+                            period=2.0)
         result = optimize(initial, config, cal_geometry)
         assert result.kappa_final <= 1.5
 
@@ -492,7 +486,7 @@ class TestSingleHarmonicFamily:
         rng = np.random.default_rng(config.seed)
         initial = BasisSpec(hip_rate_coeffs=[rng.uniform(0.5, 2.0)],
                             pitch_rate_coeffs=[rng.uniform(0.5, 2.0)],
-                            base_frequency=math.pi, period=2.0)
+                            period=2.0)
         result = optimize(initial, config, cal_geometry)
         assert result.kappa_final <= 7.5
         assert np.all(np.diff(result.kappa_history) < 0.0)
@@ -562,8 +556,9 @@ def test_limits_excluding_zero_rejected():
     # every trajectory of the family oscillates about zero, and the Go2
     # calf limits (-2.7, -0.8) exclude it
     config = OptimizerConfig()
+    go2 = LegGeometry(hip_limits=(-0.84, 0.84), thigh_limits=(-1.5, 3.4), calf_limits=(-2.7, -0.8))
     with pytest.raises(ValueError, match="calf limits"):
-        optimize(initial_basis_spec(config), config, LegGeometry())
+        optimize(initial_basis_spec(config), config, go2)
 
 
 class TestCovarianceSetType:
