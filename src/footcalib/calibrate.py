@@ -251,14 +251,11 @@ def _foot_side(window: bytes, fft_length: int) -> tuple[np.ndarray, float, np.nd
     S_FF = L_F L_F^T, and divided by W - 1. S_FF below the
     ``require_excited`` floor raises; an exception is not cached, so such
     a window raises on every call. Keyed on the window's bytes, every
-    scan of one foot window shares one entry: all cells of a gait, and
-    the noise densities of an a2i trajectory. A foot's a2i windows come
-    back once per density, after all of its seeds, so they are shared only
-    with at most 24 seeds; with more, the LRU evicts each window just
-    before it comes back and no a2i scan hits. The three gait windows,
-    shared by every foot, outlast the next foot's a2i windows only with at
-    most 21 seeds; the default matrix has 20. A default-matrix entry holds
-    at most about 100 KB, key included.
+    scan of one foot window shares one entry. The matrix runs all cells
+    of a trajectory before the next, so an a2i window is shared by its
+    noise densities, and a gait window by all of a foot's cells of that
+    gait, whatever the seed count. A default-matrix entry holds at most
+    about 100 KB, key included.
     """
     foot_window = np.frombuffer(window).reshape(-1, 3)
     sigma_ff = sample_covariance(foot_window)

@@ -166,6 +166,9 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_theorem_check(args) -> int:
+    for flag, value in (("--count", args.count), ("--max-harmonics", args.max_harmonics)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     rng = np.random.default_rng(args.seed)
     config = OptimizerConfig(imu_frequency=args.imu_freq, offset_range=args.t_r)
     worst = 0.0

@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,8 @@ _GAIT_FOR_MOTION = {Motion.WALK: GaitKind.WALK, Motion.SPIN: GaitKind.SPIN,
                     Motion.WAVE: GaitKind.WAVE}
 # Largest condition number an a2i trajectory may have to be run at all.
 A2I_KAPPA_BAND = 1.6
+_FAILED_METRICS = dict(cn=math.nan, cc=math.nan, re_deg=math.nan, td_error_ms=math.nan,
+                       gimbal_flagged=False, geodesic_deg=math.nan)
 
 
 def _foot_code(foot: str) -> int:
@@ -309,11 +312,12 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     Report files (rows.csv, summary.csv, summary.json and the per-cell
     offset scans) are deterministic for a fixed config; wall-clock timings
     go to a separate timing.csv so the reports stay byte-reproducible.
-    Rows are ordered by foot, motion, density, seed and written as they
-    are computed. A failed cell records its error and does not abort the
-    matrix. Each trajectory is built and mapped to its foot series once;
-    one that fails there (such as a rejected a2i trajectory) fails every
-    cell that runs it.
+    Work proceeds one trajectory (an a2i seed's, or a gait) at a time: it
+    is built and mapped to its foot series once, and all of its cells run
+    and write their scans before the next. Rows are written per (foot,
+    motion) block, in report order: foot, motion, density, seed. A failed
+    cell records its error without aborting the matrix; a trajectory that
+    fails to build (a rejected a2i one) fails exactly its own cells.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -324,46 +328,42 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     densities = sorted(config.noise_densities)
     seeds = sorted(config.seeds)
 
-    # foot series per trajectory, or the error that rejected the trajectory
-    foot_series_cache: dict = {}
     rows: list[ReportRow] = []
     with fio.open_rows_writer(out / "rows.csv") as write_row, \
             fio.open_timing_writer(out / "timing.csv") as write_timing:
         for foot in feet:
             for motion in motions:
-                for density in densities:
-                    for seed in seeds:
-                        started = time.perf_counter()
-                        cache_key = (motion, foot, seed) if motion is Motion.A2I else motion
-                        if cache_key not in foot_series_cache:
+                block: list[ReportRow] = []
+                # the seeds whose cells run each trajectory: one per a2i seed, all for a gait
+                for group in ([[s] for s in seeds] if motion is Motion.A2I else [seeds]):
+                    started = time.perf_counter()
+                    rejected = ""
+                    try:
+                        foot_series = trajectory_to_foot_velocity(
+                            build_trajectory(config, motion, foot, group[0]))
+                    except CalibrationError as exc:
+                        rejected = f"{type(exc).__name__}: {exc}"
+                    for density, seed in product(densities, group):
+                        metrics, scan, error = _FAILED_METRICS, None, rejected
+                        if not rejected:
                             try:
-                                foot_series_cache[cache_key] = trajectory_to_foot_velocity(
-                                    build_trajectory(config, motion, foot, seed))
+                                metrics, scan = run_cell(config, foot, motion, density, seed,
+                                                         foot_series)
                             except CalibrationError as exc:
-                                foot_series_cache[cache_key] = exc
-                        try:
-                            foot_series = foot_series_cache[cache_key]
-                            if isinstance(foot_series, CalibrationError):
-                                raise foot_series
-                            metrics, scan = run_cell(config, foot, motion, density, seed,
-                                                     foot_series)
-                            error = ""
-                        except CalibrationError as exc:
-                            metrics = dict(cn=math.nan, cc=math.nan, re_deg=math.nan,
-                                           td_error_ms=math.nan, gimbal_flagged=False,
-                                           geodesic_deg=math.nan)
-                            scan = None
-                            error = f"{type(exc).__name__}: {exc}"
-                        wall = time.perf_counter() - started
-                        row = ReportRow(foot=foot, motion=motion, noise_density=density,
-                                        seed=seed, wall_time_s=wall, error=error, **metrics)
-                        rows.append(row)
-                        write_row(row)
-                        write_timing(row)
+                                error = f"{type(exc).__name__}: {exc}"
+                        block.append(ReportRow(foot=foot, motion=motion, noise_density=density,
+                                               seed=seed, wall_time_s=time.perf_counter() - started,
+                                               error=error, **metrics))
                         if scan is not None:
                             fio.write_offset_scan(
                                 out / "scans" / f"{foot}_{motion.value}_{float(density)!r}_{seed}.csv",
                                 scan)
+                        started = time.perf_counter()
+                block.sort(key=lambda r: (r.noise_density, r.seed))
+                for row in block:
+                    write_row(row)
+                    write_timing(row)
+                rows += block
 
     summary = _summarize(rows, motions, densities)
     fio.write_summary_csv(out / "summary.csv", summary)

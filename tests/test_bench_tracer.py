@@ -6,7 +6,6 @@ benchmark fail; this test makes the suite fail instead.
 """
 
 import importlib
-import math
 from pathlib import Path
 
 import pytest

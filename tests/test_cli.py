@@ -161,6 +161,17 @@ class TestTheoremCheck:
         assert out.count("PASS") == 8
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "0"), ("--count", "-3"), ("--max-harmonics", "0"),
+    ])
+    def test_nothing_to_check_rejected(self, capsys, flag, value):
+        # a suite over no spec, or over specs of no harmonic, checks nothing
+        code = main(["theorem-check", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError" and flag in error["message"]
+
 
 class TestParser:
     def test_usage_error_leaves_the_next_parse_intact(self, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from footcalib import (
     rotation_error,
     run_matrix,
 )
+from footcalib.calibrate import _foot_side
 from footcalib.harness import (
     A2I_KAPPA_BAND,
     calibration_geometry,
@@ -397,6 +399,67 @@ class TestRunMatrix:
             assert row.error.startswith("TrajectoryRejectedError")
             assert math.isnan(row.cn)
         assert not list((config.output_dir / "scans").glob("*.csv"))
+
+    def test_rejected_trajectory_fails_only_its_own_cells(self, tmp_path, monkeypatch):
+        # the second of three a2i trajectories starts without pitch motion
+        # and is rejected; the other two run all of their cells
+        calls = []
+        optimize = harness.optimize
+
+        def second_pitchless(initial, config, geometry):
+            calls.append(initial)
+            if len(calls) == 2:
+                initial = replace(initial, pitch_rate_coeffs=np.zeros(initial.harmonic_count))
+            return optimize(initial, config, geometry)
+
+        monkeypatch.setattr(harness, "optimize", second_pitchless)
+        config = default_experiment_config(tmp_path / "band", noise_densities=(0.006, 0.03),
+                                           motions=(Motion.A2I,), seeds=(1, 2, 3),
+                                           optimizer=OptimizerConfig(seed=3))
+        config = replace(config, truths={"FR": config.truths["FR"]})
+        rows = run_matrix(config).rows
+        assert len(calls) == 3
+        assert [(r.noise_density, r.seed) for r in rows] == [
+            (d, s) for d in (0.006, 0.03) for s in (1, 2, 3)]
+        assert [r.seed for r in rows if r.error] == [2, 2]
+        assert all(r.error.startswith("TrajectoryRejectedError") for r in rows if r.seed == 2)
+        scans = sorted(p.name for p in (config.output_dir / "scans").glob("*.csv"))
+        assert scans == sorted(f"FR_a2i_{d!r}_{s}.csv" for d in (0.006, 0.03) for s in (1, 3))
+
+    def test_a2i_foot_side_shared_by_densities_at_any_seed_count(self, tmp_path):
+        # each a2i window is scanned at three densities; with 25 seeds a
+        # foot has more windows than the foot-side cache holds
+        config = default_experiment_config(tmp_path / "many", motions=(Motion.A2I,),
+                                           seeds=tuple(range(25)))
+        config = replace(config, truths={"FL": config.truths["FL"]})
+        _foot_side.cache_clear()
+        rows = run_matrix(config).rows
+        assert len(rows) == 75 and not any(r.error for r in rows)
+        info = _foot_side.cache_info()
+        assert (info.hits, info.misses) == (50, 25)
+
+    def test_one_foot_series_alive_per_cell(self, tmp_path, monkeypatch):
+        # each trajectory's foot series is released once the next replaces
+        # it, so one is alive whatever the seed count
+        series, alive = [], []
+        to_foot, run_cell = harness.trajectory_to_foot_velocity, harness.run_cell
+
+        def tracked_foot_velocity(trajectory):
+            result = to_foot(trajectory)
+            series.append(weakref.ref(result))
+            return result
+
+        def counted_run_cell(*args):
+            alive.append(sum(ref() is not None for ref in series))
+            return run_cell(*args)
+
+        monkeypatch.setattr(harness, "trajectory_to_foot_velocity", tracked_foot_velocity)
+        monkeypatch.setattr(harness, "run_cell", counted_run_cell)
+        config = small_config(tmp_path / "alive", motions=(Motion.A2I,), seeds=(0, 1, 2, 3))
+        config = replace(config, truths={"FL": config.truths["FL"]})
+        run_matrix(config)
+        assert len(series) == 4 and len(alive) == 4
+        assert max(alive) == 1
 
     def test_summary_json_is_valid(self, small_run):
         config, _ = small_run
