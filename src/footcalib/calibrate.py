@@ -36,12 +36,6 @@ _AXES = ("x", "y", "z")
 _ROWS, _COLS = np.triu_indices(3)
 
 
-def is_proper_rotation(matrix: np.ndarray) -> bool:
-    """True when a 3x3 matrix is orthogonal with determinant +1, both to 1e-9."""
-    return bool(np.abs(matrix.T @ matrix - np.eye(3)).max() <= 1e-9
-                and abs(np.linalg.det(matrix) - 1.0) <= 1e-9)
-
-
 def _singular(sigma: np.ndarray) -> np.ndarray:
     """Per stacked symmetric 3x3 matrix: smallest singular value below 1e-12 of the largest, or all zero.
 
@@ -205,10 +199,18 @@ class OffsetSearch:
 
 @dataclass(frozen=True)
 class OffsetEstimate:
+    """Refined offset of ``estimate_time_offset`` and the scan behind it; the
+    scan holds a finite r, or the estimate raises instead."""
+
     time_offset: float
     scan: np.ndarray  # rows of (integer-lag offset, trace correlation); NaN r marks failures
     covariance: CovarianceSet  # of the pair on the scan window, IMU resampled at time_offset
     condition_number: float  # of covariance.sigma_ff, whose array is read-only
+
+    @property
+    def correlation(self) -> float:
+        """Trace correlation at the scan maximum, ignoring failed (NaN) lags."""
+        return float(np.nanmax(self.scan[:, 1]))
 
 
 def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries, dt: float,
@@ -390,34 +392,24 @@ def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
     rotation-related streams that map is the mounting rotation itself, so
     the result reproduces it exactly and minimizes
     sum ||R w_imu - w_foot||^2; with noise it is in general not the
-    rotation minimizing that residual. A foot covariance below the
-    ``require_excited`` floor raises the error that names its weak axis.
+    rotation minimizing that residual. The projection u diag(1, 1, det)
+    v^T is a proper rotation by construction, and a non-finite map makes
+    the SVD raise. A foot covariance below the ``require_excited`` floor
+    raises the error that names its weak axis.
     """
     require_excited(cov.sigma_ff, "sigma_ff")
     m = np.linalg.solve(cov.sigma_ff, cov.sigma_fi)
     u, _, vt = np.linalg.svd(m)
     d = np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))])
-    rotation = u @ d @ vt
-    if not is_proper_rotation(rotation):
-        raise IllConditionedError("rotation estimate failed the orthogonality check")
-    return rotation
+    return u @ d @ vt
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
-    """Estimated extrinsics plus the diagnostics behind them, built by ``calibrate``:
-    ``estimate_rotation`` checks the rotation, and ``estimate_time_offset``
-    raises unless the (offset, r) scan holds a finite r."""
+class CalibrationResult(OffsetEstimate):
+    """An offset estimate and the extrinsic rotation ``estimate_rotation``
+    gives at its covariance set; built by ``calibrate``."""
 
     rotation: np.ndarray
-    time_offset: float
-    condition_number: float
-    offset_scan: np.ndarray
-
-    @property
-    def correlation(self) -> float:
-        """Trace correlation at the scan maximum, ignoring failed (NaN) lags."""
-        return float(np.nanmax(self.offset_scan[:, 1]))
 
 
 def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
@@ -436,10 +428,4 @@ def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
             f"expected (FootIMU, FootKinematic) series, got ({imu.frame}, {foot.frame})"
         )
     estimate = estimate_time_offset(imu, foot, search, window_samples=window_samples)
-    cov = estimate.covariance
-    return CalibrationResult(
-        rotation=estimate_rotation(cov),
-        time_offset=estimate.time_offset,
-        condition_number=estimate.condition_number,
-        offset_scan=estimate.scan,
-    )
+    return CalibrationResult(**vars(estimate), rotation=estimate_rotation(estimate.covariance))

@@ -117,7 +117,7 @@ def _cmd_simulate(args) -> int:
     if args.truth:
         truth = io.read_ground_truth(args.truth)
     elif args.euler:
-        truth = GroundTruth.from_euler_deg(*args.euler, time_offset=args.t_d)
+        truth = GroundTruth(args.euler, args.t_d)
     else:
         raise ValueError("provide --truth or --euler")
     foot = trajectory_to_foot_velocity(traj)

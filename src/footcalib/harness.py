@@ -8,6 +8,7 @@ and time-offset error per cell, and writes deterministic report files.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import OffsetSearch, calibrate, is_proper_rotation
+from .calibrate import OffsetSearch, calibrate
 from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 from .optimizer import (OptimizerConfig, eval_basis, initial_basis_spec, is_count, optimize,
@@ -115,6 +116,10 @@ class ExperimentConfig:
             require_limits_contain_zero(self.geometry)
             period_samples(self.optimizer.period, self.optimizer.imu_frequency)
         for foot, truth in self.truths.items():
+            # a foot name is a field of rows.csv and part of a scan file name
+            if not (isinstance(foot, str) and re.fullmatch(r"[A-Za-z0-9_-]+", foot)):
+                raise ValueError(f"foot name {foot!r} must be one or more ASCII letters, "
+                                 "digits, '_' or '-'")
             if abs(truth.time_offset) > self.optimizer.offset_range:
                 raise ValueError(
                     f"{foot}: |time offset| {abs(truth.time_offset)} exceeds the "
@@ -177,7 +182,8 @@ def _wrap_deg(d: np.ndarray) -> np.ndarray:
 
 def rotation_error(rotation_estimate, truth_euler_deg) -> RotationError:
     est = np.asarray(rotation_estimate, dtype=float)
-    if est.shape != (3, 3) or not is_proper_rotation(est):
+    if est.shape != (3, 3) or not (np.abs(est.T @ est - np.eye(3)).max() <= 1e-9
+                                   and abs(np.linalg.det(est) - 1.0) <= 1e-9):
         raise ValueError("rotation_estimate must be a proper rotation matrix")
     truth = np.asarray(truth_euler_deg, dtype=float)
     if truth.shape != (3,):
@@ -283,7 +289,7 @@ def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float
         gimbal_flagged=err.gimbal_flagged,
         geodesic_deg=err.geodesic_degrees,
     )
-    return metrics, result.offset_scan
+    return metrics, result.scan
 
 
 def _summarize(rows: list[ReportRow], motions, densities) -> list[SummaryRow]:
@@ -380,7 +386,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "calf_limits": list(geo.calf_limits),
         },
         "truths": {
-            foot: {"euler_deg": [float(v) for v in truth.euler_deg],
+            foot: {"euler_deg": truth.euler_deg.tolist(),
                    "t_d_s": float(truth.time_offset)}
             for foot, truth in sorted(config.truths.items())
         },
@@ -435,8 +441,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     if "truths" in doc:
         for foot, spec in doc["truths"].items():
             _reject_unknown(spec, _TRUTH_KEYS, f"truths.{foot}")
-        sections["truths"] = {foot: GroundTruth.from_euler_deg(*spec["euler_deg"],
-                                                               time_offset=spec.get("t_d_s", 0.0))
+        sections["truths"] = {foot: GroundTruth(spec["euler_deg"], spec.get("t_d_s", 0.0))
                               for foot, spec in doc["truths"].items()}
     return replace(config, **sections)
 

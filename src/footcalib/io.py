@@ -119,14 +119,14 @@ def _dump_json(path, payload) -> None:
 
 def write_ground_truth(path, truth: GroundTruth) -> None:
     _dump_json(path, {
-        "euler_deg": [float(v) for v in truth.euler_deg],
+        "euler_deg": truth.euler_deg.tolist(),
         "t_d_s": float(truth.time_offset),
     })
 
 
 def read_ground_truth(path) -> GroundTruth:
     doc = json.loads(Path(path).read_text())
-    return GroundTruth.from_euler_deg(*doc["euler_deg"], time_offset=doc["t_d_s"])
+    return GroundTruth(doc["euler_deg"], doc["t_d_s"])
 
 
 def write_optimizer_result(path, result: OptimizeResult) -> None:
@@ -153,7 +153,7 @@ def write_calibration_report(path, result: CalibrationResult) -> None:
         "rotation_matrix": [float(v) for v in result.rotation.reshape(-1)],
         "correlation": float(result.correlation),
         "condition_number": float(result.condition_number),
-        "scan": [[float(t), float(r)] for t, r in result.offset_scan],
+        "scan": [[float(t), float(r)] for t, r in result.scan],
     })
 
 

@@ -11,7 +11,7 @@ optimized calibration motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -55,31 +55,34 @@ def quaternion_to_matrix(q) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True extrinsic rotation (foot frame from IMU frame) and time offset."""
+    """True extrinsic rotation (foot frame from IMU frame) and time offset.
 
-    rotation: np.ndarray  # 3x3, maps IMU-frame vectors into the foot frame
-    time_offset: float    # s, IMU timestamps minus encoder timestamps
+    The rotation is stated once, by its intrinsic x-y-z Euler angles in
+    degrees, pitch in [-90, 90]; ``rotation`` is the matrix they give, so
+    a truth saved as its angles and read back has the same matrix.
+    """
+
+    euler_deg: np.ndarray  # (roll, pitch, yaw) in degrees; read-only, as is rotation
+    time_offset: float     # s, IMU timestamps minus encoder timestamps
+    # 3x3, maps IMU-frame vectors into the foot frame
+    rotation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if not (np.abs(r.T @ r - np.eye(3)).max() <= 1e-12 and abs(np.linalg.det(r) - 1.0) <= 1e-12):
-            raise ValueError("rotation must be orthogonal with determinant +1 to 1e-12")
+        angles = np.array(self.euler_deg, dtype=float)
+        if angles.shape != (3,) or not (np.isfinite(angles).all() and abs(angles[1]) <= 90.0):
+            raise ValueError(f"euler_deg must be 3 finite angles (roll, pitch, yaw) with pitch "
+                             f"in [-90, 90], got {self.euler_deg!r}")
         if not math.isfinite(self.time_offset):
             raise ValueError("time_offset must be finite")
-        object.__setattr__(self, "rotation", r)
+        rotation = euler_deg_to_matrix(angles)
+        angles.flags.writeable = rotation.flags.writeable = False
+        object.__setattr__(self, "euler_deg", angles)
+        object.__setattr__(self, "rotation", rotation)
 
     @classmethod
     def from_euler_deg(cls, roll_x: float, pitch_y: float, yaw_z: float,
                        time_offset: float = 0.0) -> "GroundTruth":
-        return cls(rotation=euler_deg_to_matrix([roll_x, pitch_y, yaw_z]),
-                   time_offset=time_offset)
-
-    @property
-    def euler_deg(self) -> np.ndarray:
-        """Intrinsic x-y-z Euler angles (roll, pitch, yaw) in degrees."""
-        return matrix_to_euler_deg(self.rotation)
+        return cls((roll_x, pitch_y, yaw_z), time_offset)
 
 
 # Largest |pitch| in degrees of a random mounting: the ±90 deg gimbal
@@ -97,15 +100,15 @@ def random_ground_truth(rng: np.random.Generator, offset_range: float,
     """
     while True:
         q = rng.normal(size=4)
-        r = quaternion_to_matrix(q / np.linalg.norm(q))
-        if abs(matrix_to_euler_deg(r)[1]) <= MAX_PITCH_DEG:
+        euler = matrix_to_euler_deg(quaternion_to_matrix(q / np.linalg.norm(q)))
+        if abs(euler[1]) <= MAX_PITCH_DEG:
             break
     if grid_step is not None:
         steps = int(math.floor(offset_range / grid_step + 1e-9))
         t_d = float(rng.integers(-steps, steps + 1)) * grid_step
     else:
         t_d = float(rng.uniform(-offset_range, offset_range))
-    return GroundTruth(rotation=r, time_offset=t_d)
+    return GroundTruth(euler, t_d)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from footcalib import (
     AngularVelocitySeries,
     BasisSpec,
     CalibrationResult,
+    CovarianceSet,
     Frame,
     GaitKind,
     GroundTruth,
@@ -606,7 +607,7 @@ class TestCalibrate:
         assert excinfo.value.axis in ("x", "y")
 
     def test_noiseless_identity_round_trip(self, foot_series):
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        truth = GroundTruth.from_euler_deg(0.0, 0.0, 0.0)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.0))
         result = calibrate(imu, foot_series, SEARCH, WINDOW)
         np.testing.assert_allclose(result.rotation, np.eye(3), atol=1e-9)
@@ -653,8 +654,10 @@ class TestCalibrate:
     def test_correlation_is_scan_maximum(self):
         # failed lags are NaN in the scan and do not count
         scan = np.array([[-0.002, np.nan], [0.0, 0.4], [0.002, 0.6]])
-        result = CalibrationResult(rotation=np.eye(3), time_offset=0.002,
-                                   condition_number=1.0, offset_scan=scan)
+        eye = np.eye(3)
+        result = CalibrationResult(time_offset=0.002, scan=scan,
+                                   covariance=CovarianceSet(eye, eye, eye),
+                                   condition_number=1.0, rotation=eye)
         assert result.correlation == 0.6
 
     def test_silent_imu_fails_every_lag(self, foot_series):

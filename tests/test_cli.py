@@ -205,6 +205,15 @@ class TestErrorDocument:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValueError"
 
+    def test_simulate_with_two_euler_angles_names_euler_deg(self, capsys, tmp_path,
+                                                            pipeline_dir):
+        code = main(["simulate", "--out", str(tmp_path / "out"), "--euler", "30,45",
+                     "--trajectory", str(pipeline_dir / "trajectory.csv")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "euler_deg" in error["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_rank_deficient_dumps_name_the_error(self, capsys, tmp_path):
         t = np.arange(500) / 500.0
         samples = np.zeros((500, 3))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -98,12 +99,28 @@ class TestConfig:
             samples = truth.time_offset * 500.0
             assert samples == pytest.approx(round(samples), abs=1e-9)
 
+    @pytest.mark.parametrize("foot", ["", "F,L", "x\ny", "a/b", "../x", "F L", "F\u00e9"],
+                             ids=["empty", "comma", "newline", "slash", "parent", "space",
+                                  "non-ascii"])
+    def test_foot_name_must_be_a_plain_token(self, tmp_path, foot):
+        # a comma or a line break splits rows.csv into other fields or lines,
+        # and a slash puts a scan file in another directory or none
+        truth = default_truths()["FL"]
+        config = small_config(tmp_path / "out")
+        with pytest.raises(ValueError, match=re.escape(f"foot name {foot!r}")):
+            replace(config, truths={"FL": truth, foot: truth})
+        doc = config_to_dict(config)
+        doc["truths"][foot] = doc["truths"]["FL"]
+        with pytest.raises(ValueError, match="foot name"):
+            config_from_dict(doc)
+        assert set(replace(config, truths={"F_l-2": truth}).truths) == {"F_l-2"}
+
     def test_a2i_partial_period_rejected(self, tmp_path):
         # 8 * 0.0501 s at 500 Hz is 200.4 samples: the a2i trajectory cannot
         # close, and its covariance is not diagonal
         optimizer = OptimizerConfig(offset_range=0.0501)
         fields = dict(geometry=calibration_geometry(),
-                      truths={"FL": GroundTruth(rotation=np.eye(3), time_offset=0.0)},
+                      truths={"FL": GroundTruth.from_euler_deg(0.0, 0.0, 0.0)},
                       noise_densities=(0.006,), optimizer=optimizer, seeds=(0,),
                       output_dir=tmp_path / "out")
         with pytest.raises(ValueError, match="not a whole number"):
@@ -122,16 +139,10 @@ class TestConfig:
         path = tmp_path / "config.json"
         save_config(path, config)
         loaded = load_config(path)
-        original = config_to_dict(config)
-        recovered = config_to_dict(loaded)
-        # the Euler view of a rotation matrix is ULP-lossy; everything else
-        # must survive the round trip exactly
-        for foot, spec in original["truths"].items():
-            np.testing.assert_allclose(recovered["truths"][foot]["euler_deg"],
-                                       spec["euler_deg"], atol=1e-10)
-            assert recovered["truths"][foot]["t_d_s"] == spec["t_d_s"]
-        for key in set(original) - {"truths"}:
-            assert recovered[key] == original[key]
+        # a truth is its Euler angles, so it survives the round trip exactly
+        assert config_to_dict(loaded) == config_to_dict(config)
+        for foot, truth in config.truths.items():
+            np.testing.assert_array_equal(loaded.truths[foot].rotation, truth.rotation)
 
     def test_dict_defaults(self, tmp_path):
         config = config_from_dict({"seeds": [3], "motions": ["a2i"]},
@@ -242,7 +253,7 @@ class TestConfig:
     lambda: OptimizerConfig(offset_range=math.inf),
     lambda: config_from_dict({"noise_densities": [0.006, math.nan]}),
     lambda: config_from_dict({"noise_densities": [math.inf]}),
-    lambda: GroundTruth(rotation=np.full((3, 3), math.nan), time_offset=0.0),
+    lambda: GroundTruth.from_euler_deg(0.0, math.nan, 0.0),
     lambda: OffsetSearch(offset_range=math.nan),
     lambda: BasisSpec(hip_rate_coeffs=[1.0], pitch_rate_coeffs=[1.0], period=math.inf),
 ], ids=["density-nan", "density-inf", "sample-rate-nan", "kappa-nan", "kappa-inf",
@@ -349,6 +360,15 @@ class TestRunMatrix:
         first = report_bytes(config.output_dir)
         second = report_bytes(rerun.output_dir)
         assert first == second
+
+    def test_saved_config_reproduces_the_run_byte_for_byte(self, small_run, tmp_path):
+        # a truth is saved as its Euler angles, the one fact it holds, so the
+        # reloaded config has the same rotations and writes the same reports
+        config, _ = small_run
+        save_config(tmp_path / "config.json", config)
+        loaded = load_config(tmp_path / "config.json", output_dir=tmp_path / "loaded")
+        run_matrix(loaded)
+        assert report_bytes(loaded.output_dir) == report_bytes(config.output_dir)
 
     def test_noiseless_a2i_round_trip(self, tmp_path):
         config = small_config(tmp_path / "clean", motions=(Motion.A2I,),

@@ -200,7 +200,8 @@ class TestJsonDocuments:
         path = tmp_path / "truth.json"
         fio.write_ground_truth(path, truth)
         loaded = fio.read_ground_truth(path)
-        np.testing.assert_allclose(loaded.euler_deg, truth.euler_deg, atol=1e-10)
+        assert loaded.euler_deg.tolist() == [104.0, 17.0, 21.0]
+        np.testing.assert_array_equal(loaded.rotation, truth.rotation)
         assert loaded.time_offset == truth.time_offset
 
     def test_optimizer_result_schema(self, tmp_path):

@@ -40,14 +40,17 @@ def smooth_series(n=2001, rate=500.0):
 
 class TestGroundTruth:
     def test_euler_round_trip(self):
+        # the given angles are the stored fact, and the matrix is theirs
         truth = GroundTruth.from_euler_deg(30.0, 45.0, 60.0, time_offset=0.01)
-        np.testing.assert_allclose(truth.euler_deg, [30.0, 45.0, 60.0], atol=1e-12)
+        assert truth.euler_deg.tolist() == [30.0, 45.0, 60.0]
+        np.testing.assert_array_equal(truth.rotation, euler_deg_to_matrix([30.0, 45.0, 60.0]))
 
     def test_rejects_non_rotation(self):
-        with pytest.raises(ValueError):
-            GroundTruth(rotation=np.eye(3) * 1.001, time_offset=0.0)
-        with pytest.raises(ValueError):
-            GroundTruth(rotation=np.diag([1.0, 1.0, -1.0]), time_offset=0.0)
+        # a non-finite angle, a pitch beyond ±90 or a wrong count names euler_deg
+        for angles in [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf), (0.0, 90.001, 0.0),
+                       (0.0, -90.001, 0.0), (30.0, 45.0)]:
+            with pytest.raises(ValueError, match="euler_deg"):
+                GroundTruth(angles, 0.0)
 
     def test_random_truth_properties(self):
         rng = np.random.default_rng(2)
@@ -80,18 +83,20 @@ class TestRotationHelpers:
         rng = np.random.default_rng(12)
         for roll, yaw in rng.uniform(-180, 180, size=(20, 2)):
             truth = GroundTruth.from_euler_deg(roll, pitch, yaw)
+            assert truth.euler_deg.tolist() == [roll, pitch, yaw]
             oracle = Rotation.from_euler("XYZ", [roll, pitch, yaw], degrees=True)
             np.testing.assert_allclose(truth.rotation, oracle.as_matrix(), rtol=0, atol=1e-14)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # scipy's gimbal-lock warning
                 expected = Rotation.from_matrix(truth.rotation).as_euler("XYZ", degrees=True)
-            np.testing.assert_allclose(truth.euler_deg, expected, rtol=0, atol=1e-9)
-            again = GroundTruth.from_euler_deg(*truth.euler_deg)
+            extracted = matrix_to_euler_deg(truth.rotation)
+            np.testing.assert_allclose(extracted, expected, rtol=0, atol=1e-9)
+            again = GroundTruth.from_euler_deg(*extracted)
             np.testing.assert_allclose(again.rotation, truth.rotation, rtol=0, atol=1e-12)
             if abs(pitch) < 90.0:
-                np.testing.assert_allclose(truth.euler_deg, [roll, pitch, yaw], rtol=0, atol=1e-9)
+                np.testing.assert_allclose(extracted, [roll, pitch, yaw], rtol=0, atol=1e-9)
             else:
-                assert truth.euler_deg[2] == 0.0
+                assert extracted[2] == 0.0
 
     def test_import_loads_no_scipy(self):
         # scipy.spatial alone costs tens of MB of resident memory at import
@@ -108,7 +113,7 @@ class TestNoiseModel:
         # the per-sample std is density * sqrt(rate) in rad/s, at the
         # series' own rate
         n = 50
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        truth = GroundTruth.from_euler_deg(0.0, 0.0, 0.0)
         for rate in (500.0, 200.0):
             foot = AngularVelocitySeries(np.arange(n) / rate, np.zeros((n, 3)),
                                          Frame.FOOT_KINEMATIC)
@@ -136,7 +141,7 @@ class TestNoiseModel:
 class TestSimulateImu:
     def test_identity_noiseless_is_exact(self):
         foot = smooth_series()
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        truth = GroundTruth.from_euler_deg(0.0, 0.0, 0.0)
         imu = simulate_imu(foot, truth, NoiseModel(0.0))
         assert imu.frame is Frame.FOOT_IMU
         np.testing.assert_array_equal(imu.samples, foot.samples)
@@ -155,7 +160,7 @@ class TestSimulateImu:
         n = 100_000
         t = np.arange(n) / 500.0
         foot = AngularVelocitySeries(t, np.zeros((n, 3)), Frame.FOOT_KINEMATIC)
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        truth = GroundTruth.from_euler_deg(0.0, 0.0, 0.0)
         noise = NoiseModel(density=0.06, seed=17)
         imu = simulate_imu(foot, truth, noise)
         target = math.radians(0.06) * math.sqrt(500.0)
@@ -166,7 +171,7 @@ class TestSimulateImu:
         n = 100_000
         t = np.arange(n) / 500.0
         foot = AngularVelocitySeries(t, np.zeros((n, 3)), Frame.FOOT_KINEMATIC)
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        truth = GroundTruth.from_euler_deg(0.0, 0.0, 0.0)
         imu = simulate_imu(foot, truth, NoiseModel(0.03, seed=4))
         for axis in range(3):
             x = imu.samples[:, axis]
@@ -197,7 +202,7 @@ class TestSimulateImu:
 
     def test_rejects_imu_frame_input(self):
         series = AngularVelocitySeries(np.arange(10) / 500.0, np.zeros((10, 3)), Frame.FOOT_IMU)
-        truth = GroundTruth(rotation=np.eye(3), time_offset=0.0)
+        truth = GroundTruth.from_euler_deg(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             simulate_imu(series, truth, NoiseModel(0.0))
 
