@@ -402,14 +402,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 _CONFIG_KEYS = frozenset({"geometry", "truths", "noise_densities", "motions", "optimizer", "seeds",
                           "output_dir"})
 _GEOMETRY_KEYS = frozenset({"hip_limits", "thigh_limits", "calf_limits"})
-_TRUTH_KEYS = frozenset({"euler_deg", "t_d_s"})
-
-
-def _reject_unknown(doc: dict, known: frozenset, where: str) -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}; "
-                         f"expected keys are {', '.join(sorted(known))}")
 
 
 def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
@@ -419,9 +411,10 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     the document's optimizer seed. A key that ``config_to_dict`` does not
     write, at the top level, in ``geometry`` or in a truth, raises
     ValueError naming it, so a misspelt section or field cannot fall back
-    to its default unnoticed.
+    to its default unnoticed; so does a geometry limit or a truth's
+    ``euler_deg`` that is missing.
     """
-    _reject_unknown(doc, _CONFIG_KEYS, "config")
+    fio.check_keys(doc, _CONFIG_KEYS, "config")
     optimizer = OptimizerConfig(**doc.get("optimizer", {}))
     lists = {name: tuple(doc[name]) for name in ("noise_densities", "seeds") if name in doc}
     if "motions" in doc:
@@ -432,7 +425,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     sections = {}
     if "geometry" in doc:
         g = doc["geometry"]
-        _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
+        fio.check_keys(g, _GEOMETRY_KEYS, "geometry", required=_GEOMETRY_KEYS)
         sections["geometry"] = LegGeometry(
             hip_limits=tuple(g["hip_limits"]),
             thigh_limits=tuple(g["thigh_limits"]),
@@ -440,7 +433,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
         )
     if "truths" in doc:
         for foot, spec in doc["truths"].items():
-            _reject_unknown(spec, _TRUTH_KEYS, f"truths.{foot}")
+            fio.check_keys(spec, fio.TRUTH_KEYS, f"truths.{foot}", required=frozenset({"euler_deg"}))
         sections["truths"] = {foot: GroundTruth(spec["euler_deg"], spec.get("t_d_s", 0.0))
                               for foot, spec in doc["truths"].items()}
     return replace(config, **sections)

@@ -124,8 +124,26 @@ def write_ground_truth(path, truth: GroundTruth) -> None:
     })
 
 
+TRUTH_KEYS = frozenset({"euler_deg", "t_d_s"})
+
+
+def check_keys(doc: dict, known: frozenset, where: str,
+                        required: frozenset = frozenset()) -> None:
+    """Raise ValueError naming every key of ``doc`` outside ``known``, and
+    every key of ``required`` that ``doc`` lacks."""
+    unknown, missing = sorted(set(doc) - known), sorted(required - set(doc))
+    if unknown:
+        raise ValueError(f"unknown {where} key {', '.join(map(repr, unknown))}; "
+                         f"expected keys are {', '.join(sorted(known))}")
+    if missing:
+        raise ValueError(f"{where} is missing key {', '.join(map(repr, missing))}")
+
+
 def read_ground_truth(path) -> GroundTruth:
+    """The truth a ``write_ground_truth`` document holds; any other key, or
+    a missing one, raises ValueError naming it."""
     doc = json.loads(Path(path).read_text())
+    check_keys(doc, TRUTH_KEYS, "ground truth", required=TRUTH_KEYS)
     return GroundTruth(doc["euler_deg"], doc["t_d_s"])
 
 

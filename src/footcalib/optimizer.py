@@ -15,10 +15,17 @@ and the covariance is then far from diagonal. Restricting to odd
 multiples removes every matched pair and the off-diagonals vanish to
 machine precision.
 
-The loss inside the descent runs on plain arrays over a read-only sin/cos
-basis table that is built once per period and sample rate; input is
+The loss inside the descent runs on plain arrays over read-only sin/cos
+basis tables that are built once per period and grid; input is
 validated where it enters (``BasisSpec``, ``OptimizerConfig``,
-``period_samples``), not in every loss call. The
+``period_samples``), not in every loss call or candidate. The joint
+limits are checked on every IMU sample of the period. The foot velocity,
+its covariance, the condition number and its gradient are evaluated on
+the kappa grid, a uniform grid over the period with fewer points
+(``kappa_samples``): the integrands are periodic and analytic, so the
+uniform rule converges geometrically, and the rule's point count puts
+its aliasing error below rounding. ``OptimizeResult.kappa_final`` and
+``kappa_history`` are kappa-grid values. The
 descent (``optimize``) builds BFGS inverse-Hessian updates from the
 analytic gradient of that loss (the derivative of the covariance's
 extreme eigenvalues). Every joint angle is linear in the amplitudes, so a
@@ -35,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,9 +112,22 @@ class BasisSpec:
         return _angular_frequencies(self.harmonic_count, self.period)
 
 
+@functools.lru_cache(maxsize=16)
 def _angular_frequencies(harmonic_count: int, period: float) -> np.ndarray:
-    """Odd multiples 1, 3, 5, ... of the base frequency 2*pi/period."""
-    return (2 * np.arange(1, harmonic_count + 1) - 1) * (2.0 * math.pi / period)
+    """Read-only odd multiples 1, 3, 5, ... of the base frequency 2*pi/period."""
+    w = (2 * np.arange(1, harmonic_count + 1) - 1) * (2.0 * math.pi / period)
+    w.flags.writeable = False
+    return w
+
+
+def _with_amplitudes(spec: BasisSpec, params: np.ndarray) -> BasisSpec:
+    """``spec`` with the stacked (hip, pitch) amplitudes ``params``, built
+    without ``BasisSpec``'s checks: the descent's candidates are steps from
+    a checked start along finite directions, and need not repeat them."""
+    n = spec.harmonic_count
+    candidate = object.__new__(BasisSpec)
+    candidate.__dict__.update(vars(spec), hip_rate_coeffs=params[:n], pitch_rate_coeffs=params[n:])
+    return candidate
 
 
 def is_count(value) -> bool:
@@ -172,37 +193,69 @@ def eval_basis(spec: BasisSpec, time_grid) -> JointTrajectory:
     so every joint oscillates about zero.
     """
     t = np.asarray(time_grid, dtype=float)
-    phase = np.outer(spec.angular_frequencies, t)
-    return JointTrajectory(t, *_joint_arrays(spec, np.sin(phase), np.cos(phase)))
-
-
-def _joint_arrays(spec: BasisSpec, sin_ph: np.ndarray, cos_ph: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf)
-    from the amplitudes and the basis rows sin(w_k t), cos(w_k t)."""
     w = spec.angular_frequencies
+    phase = np.outer(w, t)
+    sin_ph, cos_ph = np.sin(phase), np.cos(phase)
     rate_sum = spec.pitch_rate_coeffs @ cos_ph
     angle_sum = (spec.pitch_rate_coeffs / w) @ sin_ph
     rho = spec.calf_share
-    return (-(spec.hip_rate_coeffs / w) @ cos_ph, (1.0 - rho) * angle_sum, rho * angle_sum,
-            spec.hip_rate_coeffs @ sin_ph, (1.0 - rho) * rate_sum, rho * rate_sum)
+    return JointTrajectory(t, -(spec.hip_rate_coeffs / w) @ cos_ph, (1.0 - rho) * angle_sum,
+                           rho * angle_sum, spec.hip_rate_coeffs @ sin_ph, (1.0 - rho) * rate_sum,
+                           rho * rate_sum)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _period_basis(harmonic_count: int, period: float,
-                  imu_frequency: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only one-period grid and the sin and cos basis rows on it.
+                  sample_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only uniform one-period grid at ``sample_rate`` Hz and the sin
+    and cos basis rows on it.
 
-    The grid is half-open, t = 0 .. T - 1/f_imu: covariance evaluation
+    The grid is half-open, t = 0 .. T - 1/rate: covariance evaluation
     must leave out the duplicated endpoint sample, because including t=T
     counts the first phase twice, which biases the sample means by O(1/N)
     and lifts the covariance off-diagonals far above machine precision.
     """
-    grid = np.arange(period_samples(period, imu_frequency)) / imu_frequency
+    grid = np.arange(period_samples(period, sample_rate)) / sample_rate
     phase = np.outer(_angular_frequencies(harmonic_count, period), grid)
     arrays = (grid, np.sin(phase), np.cos(phase))
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def kappa_samples(harmonic_count: int, phi_bound: float, imu_samples: int) -> int:
+    """Points M of the kappa grid: the uniform one-period grid on which
+    ``trajectory_loss`` and ``loss_gradient`` evaluate the foot velocity,
+    its covariance, kappa and the gradient of a spec of K =
+    ``harmonic_count`` harmonics whose thigh+calf angle phi stays within
+    +-``phi_bound``.
+
+    The covariance entries are period means of products of the hip and
+    pitch rates, trigonometric polynomials of degree F = 2K - 1, with sin
+    or cos of phi or 2 phi. An M-point uniform rule is exact for every
+    frequency below M and aliases the coefficients at multiples of M onto
+    the mean (Trefethen & Weideman, SIAM Review 56, 2014). By the
+    Jacobi-Anger expansion, exp(2i phi) for phi = b sin(F t) has the
+    coefficient J_n(2b) at frequency nF, with abs(J_n(2b)) <= b^n / n!
+    (DLMF 10.14.4), and abs(b) <= ``phi_bound`` for the top harmonic. So
+    M = (n + 2) F, with n the smallest order at which phi_bound^n / n! is
+    below the double epsilon, leaves every aliased coefficient below it,
+    the rate factors shifting frequencies by up to 2F. That bound is for
+    phi in the top harmonic alone; for phi spread over several harmonics
+    the rule is checked against the IMU-grid kappa, not proved. M is
+    rounded up to even, on which the grid keeps the half-period symmetry
+    that cancels the covariance off-diagonals, and capped at
+    ``imu_samples``, where the kappa grid is the IMU grid.
+    """
+    top = 2 * harmonic_count - 1
+    order, term = 0, 1.0
+    while term > _EPSILON and (order + 2) * top < imu_samples:
+        order += 1
+        term *= phi_bound / order
+    return min(imu_samples, -(-(order + 2) * top // 2) * 2)
+
+
+_EPSILON = 2.0 ** -52  # the double epsilon
 
 
 def column_means(a: np.ndarray) -> np.ndarray:
@@ -263,42 +316,80 @@ def _kappa(sigma: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
+class _Evaluation(NamedTuple):
+    """One evaluation of a spec over a period (``_evaluate``)."""
+
+    imu_sin: np.ndarray    # basis rows on the IMU grid
+    imu_cos: np.ndarray
+    theta_hip: np.ndarray  # hip angle on the IMU grid
+    angle_sum: np.ndarray  # thigh+calf angle before the calf split, on the IMU grid
+    ranges: tuple          # (min, max) of the hip, thigh and calf angles on the IMU grid
+    grid: np.ndarray       # the kappa grid
+    sin_ph: np.ndarray     # basis rows on the kappa grid
+    cos_ph: np.ndarray
+    dtheta_hip: np.ndarray  # hip rate on the kappa grid
+    sin_phi: np.ndarray    # sin and cos of the thigh+calf angle on the kappa grid
+    cos_phi: np.ndarray
+    centred: np.ndarray    # centred foot velocity on the kappa grid
+    sigma: np.ndarray      # its covariance
+
+
+def _evaluate(spec: BasisSpec, imu_frequency: float) -> _Evaluation:
+    """The joint angles of ``spec`` on the IMU grid, which the limits read,
+    and its foot velocity and covariance on the kappa grid
+    (``kappa_samples``), which kappa and its gradient read."""
+    harmonics, period = spec.harmonic_count, spec.period
+    a, b, rho = spec.hip_rate_coeffs, spec.pitch_rate_coeffs, spec.calf_share
+    hip_scale, pitch_scale = a / spec.angular_frequencies, b / spec.angular_frequencies
+    _, imu_sin, imu_cos = _period_basis(harmonics, period, imu_frequency)
+    # the angles of eval_basis, by the same float operations. The thigh and
+    # calf angles are 1 - rho and rho times the angle sum, and rounding is
+    # monotone, so a non-negative factor maps the sum's extremes onto theirs
+    theta_hip = -hip_scale @ imu_cos
+    angle_sum = pitch_scale @ imu_sin
+    low, high = angle_sum.min(), angle_sum.max()
+    ranges = ((theta_hip.min(), theta_hip.max()), ((1.0 - rho) * low, (1.0 - rho) * high),
+              (rho * low, rho * high))
+    # the angle sum's largest magnitude over the IMU samples bounds phi for the rule
+    n = len(angle_sum)
+    m = kappa_samples(harmonics, max(-low, high), n)
+    grid, sin_ph, cos_ph = _period_basis(harmonics, period, imu_frequency if m == n else m / period)
+    # the same float operations, in the same order, as eval_basis followed
+    # by trajectory_to_foot_velocity and sample_covariance on the kappa
+    # grid, so kappa equals the checked path's there
+    dtheta_hip = a @ sin_ph
+    rate_sum = b @ cos_ph
+    angles = pitch_scale @ sin_ph
+    phi = (1.0 - rho) * angles + rho * angles
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    omega = np.empty((m, 3))
+    np.multiply(-dtheta_hip, sin_phi, out=omega[:, 0])
+    np.multiply(-dtheta_hip, cos_phi, out=omega[:, 1])
+    np.add((1.0 - rho) * rate_sum, rho * rate_sum, out=omega[:, 2])
+    centred = omega - column_means(omega)
+    sigma = centred.T @ centred / (m - 1)
+    return _Evaluation(imu_sin, imu_cos, theta_hip, angle_sum, ranges,
+                       grid, sin_ph, cos_ph, dtheta_hip, sin_phi, cos_phi, centred, sigma)
+
+
 @dataclass(frozen=True)
 class LossReport:
     """Condition number (the loss) of a spec, whether its joints stay inside
-    their limits, and the evaluation ``loss_gradient`` reads (``_period_terms``)."""
+    their limits, and the evaluation ``loss_gradient`` reads."""
 
     kappa: float
     in_bounds: bool
-    _terms: tuple | None = field(default=None, compare=False, repr=False)
-
-
-def _period_terms(spec: BasisSpec, config: OptimizerConfig):
-    """What the loss and its gradient share over one period of ``spec``: the
-    basis rows, the joint arrays, sin and cos of the thigh+calf angle, the
-    centred foot velocity and its covariance."""
-    _, sin_ph, cos_ph = _period_basis(spec.harmonic_count, spec.period, config.imu_frequency)
-    joints = _joint_arrays(spec, sin_ph, cos_ph)
-    theta_hip, theta_thigh, theta_calf, dtheta_hip, dtheta_thigh, dtheta_calf = joints
-    # the same float operations, in the same order, as eval_basis followed
-    # by trajectory_to_foot_velocity and sample_covariance, so kappa equals
-    # the checked path's
-    phi = theta_thigh + theta_calf
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    omega = np.column_stack([-dtheta_hip * sin_phi, -dtheta_hip * cos_phi,
-                             dtheta_thigh + dtheta_calf])
-    centred = omega - column_means(omega)
-    sigma = centred.T @ centred / (len(omega) - 1)
-    return sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma
+    _terms: _Evaluation | None = field(default=None, compare=False, repr=False)
 
 
 def trajectory_loss(spec: BasisSpec, config: OptimizerConfig, geometry: LegGeometry) -> LossReport:
-    """Condition number of the foot velocity covariance over one period, and
-    whether every joint stays inside its ``geometry`` limits."""
-    terms = _period_terms(spec, config)
-    in_bounds = all(lower <= angles.min() and angles.max() <= upper
-                    for (lower, upper), angles in zip(map(geometry.limits, JOINTS), terms[2]))
-    return LossReport(kappa=_kappa(terms[-1]), in_bounds=in_bounds, _terms=terms)
+    """Condition number of the foot velocity covariance over one period, on
+    the kappa grid (``kappa_samples``), and whether every joint stays inside
+    its ``geometry`` limits at every IMU sample of the period."""
+    evaluation = _evaluate(spec, config.imu_frequency)
+    in_bounds = all(lower <= low and high <= upper for (lower, upper), (low, high)
+                    in zip(map(geometry.limits, JOINTS), evaluation.ranges))
+    return LossReport(kappa=_kappa(evaluation.sigma), in_bounds=in_bounds, _terms=evaluation)
 
 
 @dataclass(frozen=True)
@@ -320,51 +411,46 @@ def loss_gradient(spec: BasisSpec, config: OptimizerConfig,
     the gradient reads its evaluation instead of evaluating again.
 
     With u_max and u_min the extreme unit eigenvectors of the covariance
-    Sigma = w_c^T w_c / (N-1) of the centred foot velocity w_c, each
-    eigenvalue moves as d(lambda) = 2/(N-1) * sum_t (w_c u)_t (dw u)_t
+    Sigma = w_c^T w_c / (M-1) of the centred foot velocity w_c on the kappa
+    grid, each eigenvalue moves as d(lambda) = 2/(M-1) * sum_t (w_c u)_t (dw u)_t
     (Magnus & Neudecker, Matrix Differential Calculus, ch. 8), and
     d(kappa) = (d(lambda_max) lambda_min - lambda_max d(lambda_min)) / lambda_min^2.
     With phi the thigh+calf angle and h the hip rate,
     dw/dA_k = (-sin phi, -cos phi, 0) sin(w_k t) and
     dw/dB_k = (-h cos phi, h sin phi, 0) sin(w_k t)/w_k + (0, 0, cos(w_k t)).
+    The eigenpairs come from ``eigh``, while the loss keeps
+    ``condition_number``'s SVD, so that kappa equals the checked path's.
     Where kappa is infinite the gradient is NaN.
     """
-    terms = _period_terms(spec, config) if report is None else report._terms
-    sin_ph, cos_ph, joints, sin_phi, cos_phi, centred, sigma = terms
-    w = spec.angular_frequencies
-    # Sigma is symmetric PSD, so its singular vectors are its eigenvectors
-    # and its singular values (those condition_number uses) its eigenvalues
-    vec, lam, _ = np.linalg.svd(sigma)
-    lam_max, lam_min = lam[0], lam[-1]
+    ev = _evaluate(spec, config.imu_frequency) if report is None else report._terms
+    lam, vec = np.linalg.eigh(ev.sigma)
+    lam_min, lam_max = lam[0], lam[-1]
     if not lam_min > 1e-15 * lam_max:
         return np.full(2 * spec.harmonic_count, math.nan)
-    dtheta_hip = joints[3]
-
-    def eigenvalue_gradient(u: np.ndarray) -> np.ndarray:
-        """d(lambda)/d(A, B) of the eigenvalue with unit eigenvector ``u``."""
-        proj = centred @ u                                   # (w_c u)_t
-        # (w_c u)_t times the factors of dw/dA_k u and of the phi part of
-        # dw/dB_k u that do not depend on k
-        hip_part = proj * -(sin_phi * u[0] + cos_phi * u[1])
-        phi_part = proj * dtheta_hip * (sin_phi * u[1] - cos_phi * u[0])
-        return (2.0 / (len(centred) - 1)) * np.concatenate(
-            [sin_ph @ hip_part, (sin_ph @ phi_part) / w + (cos_ph @ proj) * u[2]])
-
-    return (eigenvalue_gradient(vec[:, 0]) * lam_min
-            - lam_max * eigenvalue_gradient(vec[:, -1])) / lam_min ** 2
+    u = vec[:, [-1, 0]]   # u_max, u_min
+    weights = np.array([lam_min, -lam_max]) * (2.0 / ((len(ev.centred) - 1) * lam_min ** 2))
+    # v_t = sum over the two eigenvalues of weight (w_c u)_t u: the gradient is
+    # sum_t v_t . dw_t, in one pass over the (M, 3) samples
+    v = ev.centred @ ((u * weights) @ u.T)
+    hip_part = -(ev.sin_phi * v[:, 0] + ev.cos_phi * v[:, 1])
+    phi_part = ev.dtheta_hip * (ev.sin_phi * v[:, 1] - ev.cos_phi * v[:, 0])
+    return np.concatenate([ev.sin_ph @ hip_part,
+                           (ev.sin_ph @ phi_part) / spec.angular_frequencies + ev.cos_ph @ v[:, 2]])
 
 
-def _angle_gradient(spec: BasisSpec, terms: tuple, joint: str, sample: int) -> np.ndarray:
-    """d(theta_joint at ``sample``)/d(A, B): the normal of a joint limit that
-    the angle at that sample reaches, since every angle is linear in (A, B)."""
-    sin_ph, cos_ph = terms[:2]
+def _angle_gradient(spec: BasisSpec, evaluation: _Evaluation, joint: str, extreme) -> np.ndarray:
+    """d(theta_joint)/d(A, B) at the IMU sample that ``extreme`` (``np.argmax``
+    or ``np.argmin``) picks from the joint's angles: the normal of a joint
+    limit that the angle at that sample reaches, since every angle is linear
+    in (A, B)."""
     w = spec.angular_frequencies
     zeros = np.zeros(spec.harmonic_count)
     if joint == "hip":    # theta_hip = -sum A_k/w_k cos(w_k t)
-        return np.concatenate([-cos_ph[:, sample] / w, zeros])
-    # thigh and calf split sum B_k/w_k sin(w_k t)
+        return np.concatenate([-evaluation.imu_cos[:, extreme(evaluation.theta_hip)] / w, zeros])
+    # thigh and calf split sum B_k/w_k sin(w_k t); the sample is picked from
+    # the split angle itself, as eval_basis returns it
     share = spec.calf_share if joint == "calf" else 1.0 - spec.calf_share
-    return np.concatenate([zeros, share * sin_ph[:, sample] / w])
+    return np.concatenate([zeros, share * evaluation.imu_sin[:, extreme(share * evaluation.angle_sum)] / w])
 
 
 _ACTIVE_MARGIN = 1e-3               # rad: a joint this close to a limit has that limit active
@@ -385,34 +471,32 @@ def require_limits_contain_zero(geometry: LegGeometry) -> None:
                              "trajectory of the harmonic family")
 
 
-def _scaled_into_limits(spec: BasisSpec, geometry: LegGeometry, terms: tuple) -> BasisSpec:
+def _scaled_into_limits(spec: BasisSpec, geometry: LegGeometry, evaluation: _Evaluation) -> BasisSpec:
     """``spec`` with A scaled by the hip's factor and B by the smaller of the
     thigh's and calf's, each min(1, ``_SCALE_IN`` * limit / extreme angle) over
     the limits it violates: inside the limits, since the angles are linear
     in A and B and every limit interval contains 0."""
     factors = []
-    for joint, angles in zip(JOINTS, terms[2]):
+    for joint, (low, high) in zip(JOINTS, evaluation.ranges):
         lower, upper = geometry.limits(joint)
-        high, low = angles.max(), angles.min()
         factor = _SCALE_IN * upper / high if high > upper else 1.0
         factors.append(min(factor, _SCALE_IN * lower / low) if low < lower else factor)
     return replace(spec, hip_rate_coeffs=factors[0] * spec.hip_rate_coeffs,
                    pitch_rate_coeffs=min(factors[1:]) * spec.pitch_rate_coeffs)
 
 
-def _outward_normals(spec: BasisSpec, geometry: LegGeometry, terms: tuple) -> list[np.ndarray]:
+def _outward_normals(spec: BasisSpec, geometry: LegGeometry, evaluation: _Evaluation) -> list[np.ndarray]:
     """Outward normals of the active joint-limit constraints, at most one per
-    joint: the limit that a joint's extreme angle is within ``_ACTIVE_MARGIN``
-    of, or the nearer limit when both are."""
+    joint: the limit that a joint's extreme angle on the IMU grid is within
+    ``_ACTIVE_MARGIN`` of, or the nearer limit when both are."""
     normals = []
-    for joint, angles in zip(JOINTS, terms[2]):
+    for joint, (low, high) in zip(JOINTS, evaluation.ranges):
         lower, upper = geometry.limits(joint)
-        high, low = angles.argmax(), angles.argmin()
-        upper_slack, lower_slack = upper - angles[high], angles[low] - lower
+        upper_slack, lower_slack = upper - high, low - lower
         if upper_slack <= min(lower_slack, _ACTIVE_MARGIN):
-            normals.append(_angle_gradient(spec, terms, joint, high))
+            normals.append(_angle_gradient(spec, evaluation, joint, np.argmax))
         elif lower_slack <= _ACTIVE_MARGIN:
-            normals.append(-_angle_gradient(spec, terms, joint, low))
+            normals.append(-_angle_gradient(spec, evaluation, joint, np.argmin))
     return normals
 
 
@@ -483,18 +567,14 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
     if not report.in_bounds:
         initial = _scaled_into_limits(initial, geometry, report._terms)
         report = trajectory_loss(initial, config, geometry)
-    n = initial.harmonic_count
     params = np.concatenate([initial.hip_rate_coeffs, initial.pitch_rate_coeffs])
-
-    def spec_at(p: np.ndarray) -> BasisSpec:
-        return replace(initial, hip_rate_coeffs=p[:n], pitch_rate_coeffs=p[n:])
 
     def line_search(direction: np.ndarray, steps, slope: float):
         """First accepted (params, spec, report) along ``direction``, or None.
         A zero ``slope`` leaves only the strict-decrease test."""
         for step in steps:
             candidate = params + step * direction
-            cand_spec = spec_at(candidate)
+            cand_spec = _with_amplitudes(initial, candidate)
             cand_report = trajectory_loss(cand_spec, config, geometry)
             if (math.isfinite(cand_report.kappa) and cand_report.kappa < report.kappa
                     and cand_report.kappa <= report.kappa + _ARMIJO_C1 * step * slope
@@ -506,7 +586,7 @@ def optimize(initial: BasisSpec, config: OptimizerConfig, geometry: LegGeometry)
     kappa_history = [report.kappa]
     converged = report.kappa < config.kappa_objective
     iterations = 0
-    initial_hessian = config.step_size * np.eye(2 * n)
+    initial_hessian = config.step_size * np.eye(len(params))
     inverse_hessian = initial_hessian
     previous = None  # (params, gradient) of the previous iterate
 

@@ -214,6 +214,23 @@ class TestErrorDocument:
         assert error["type"] == "ValueError" and "euler_deg" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"euler_deg": [30, 45, 60], "t_d_s": 0.0, "t_d": 0.02}, "'t_d'"),
+        ({"euler_deg": [30, 45, 60], "td_s": 0.02}, "'td_s'"),
+    ], ids=["extra-key", "misspelt-key"])
+    def test_simulate_truth_with_wrong_key_names_it(self, capsys, tmp_path, pipeline_dir,
+                                                    doc, key):
+        # the first used to run at offset 0 and the second to fail with a
+        # bare KeyError
+        (tmp_path / "truth.json").write_text(json.dumps(doc))
+        code = main(["simulate", "--out", str(tmp_path / "out"),
+                     "--truth", str(tmp_path / "truth.json"),
+                     "--trajectory", str(pipeline_dir / "trajectory.csv")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and key in error["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_rank_deficient_dumps_name_the_error(self, capsys, tmp_path):
         t = np.arange(500) / 500.0
         samples = np.zeros((500, 3))

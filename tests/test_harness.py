@@ -193,6 +193,20 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"geometry key '{key}'"):
                 config_from_dict(doc)
 
+    def test_missing_key_inside_a_section_rejected(self, tmp_path):
+        # each used to fail with a bare KeyError
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        del doc["geometry"]["calf_limits"]
+        with pytest.raises(ValueError, match="geometry is missing key 'calf_limits'"):
+            config_from_dict(doc)
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        doc["truths"]["FL"] = {"t_d_s": 0.05}
+        with pytest.raises(ValueError, match="truths.FL is missing key 'euler_deg'"):
+            config_from_dict(doc)
+        # a truth's time offset defaults to 0
+        doc["truths"]["FL"] = {"euler_deg": [10, 20, 30]}
+        assert config_from_dict(doc).truths["FL"].time_offset == 0.0
+
     @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
     def test_removed_optimizer_key_rejected(self, tmp_path, key):
         # the loss gradient is analytic and the descent keeps the joints

@@ -21,7 +21,7 @@ from footcalib import (
     trajectory_to_foot_velocity,
 )
 from footcalib.calibrate import require_excited
-from footcalib.optimizer import diagonality_ratio, sample_covariance
+from footcalib.optimizer import diagonality_ratio, kappa_samples, sample_covariance
 from conftest import brute_force_pair_covariance
 
 
@@ -312,12 +312,15 @@ class TestTrajectoryLoss:
         assert report.kappa == pytest.approx(eigenvalues[-1] / eigenvalues[0], rel=1e-9)
 
     def test_kappa_equals_checked_path_bit_for_bit(self, cal_geometry):
+        # on the kappa grid the loss evaluated, which is shorter than the
+        # 1000-sample period
         config = OptimizerConfig()
         for seed in range(5):
             spec = initial_basis_spec(config, seed=seed, calf_share=0.3)
-            traj = eval_basis(spec, one_period(spec, config.imu_frequency))
-            omega = trajectory_to_foot_velocity(traj).samples
             report = trajectory_loss(spec, config, cal_geometry)
+            grid = report._terms.grid
+            assert len(grid) < period_samples(spec.period, config.imu_frequency)
+            omega = trajectory_to_foot_velocity(eval_basis(spec, grid)).samples
             assert report.kappa == condition_number(sample_covariance(omega))
 
     def test_gradient_consistent_across_epsilons(self, cal_geometry):
@@ -559,6 +562,97 @@ def test_limits_excluding_zero_rejected():
     go2 = LegGeometry(hip_limits=(-0.84, 0.84), thigh_limits=(-1.5, 3.4), calf_limits=(-2.7, -0.8))
     with pytest.raises(ValueError, match="calf limits"):
         optimize(initial_basis_spec(config), config, go2)
+
+
+def checked_kappa(spec, grid):
+    """kappa through the public checked path on ``grid``."""
+    omega = trajectory_to_foot_velocity(eval_basis(spec, grid)).samples
+    return condition_number(sample_covariance(omega))
+
+
+def scaled_into_limits(spec, geometry, rate, fill):
+    """``spec`` with A and B scaled so that the hip and the nearer pitch limit
+    are reached at ``fill`` of the limit on the IMU grid."""
+    traj = eval_basis(spec, one_period(spec, rate))
+
+    def factor(joint, angles):
+        lower, upper = geometry.limits(joint)
+        return fill * min(upper, -lower) / np.abs(angles).max()
+
+    pitch = min(factor(joint, getattr(traj, f"theta_{joint}")) for joint in ("thigh", "calf")
+                if spec.calf_share != (0.0 if joint == "calf" else 1.0))
+    return replace(spec, hip_rate_coeffs=factor("hip", traj.theta_hip) * spec.hip_rate_coeffs,
+                   pitch_rate_coeffs=pitch * spec.pitch_rate_coeffs)
+
+
+TIGHT_PITCH = LegGeometry(hip_limits=(-0.84, 0.84), thigh_limits=(-0.5, 0.5),
+                          calf_limits=(-0.25, 0.25))
+
+
+class TestKappaGrid:
+    """kappa and its gradient run on the kappa grid (``kappa_samples``); the
+    joint limits on every IMU sample."""
+
+    @pytest.mark.parametrize("harmonics", range(1, 9))
+    @pytest.mark.parametrize("geometry, calf_share", [
+        (harness.calibration_geometry(), 0.0), (TIGHT_PITCH, 0.3)], ids=["calibration", "tight-pitch"])
+    def test_matches_the_imu_grid_kappa(self, harmonics, geometry, calf_share):
+        # random amplitudes, and amplitudes whose pitch motion is all in the
+        # top harmonic, where the rule's bound is sharpest
+        config = OptimizerConfig()
+        rng = np.random.default_rng(harmonics)
+        imu_samples = period_samples(config.period, config.imu_frequency)
+        top = np.zeros(harmonics)
+        top[-1] = 1.0
+        for trial in range(24):
+            signs = rng.choice([-1.0, 1.0], (2, harmonics))
+            pitch = top if trial % 3 == 0 else rng.uniform(0.5, 1.5, harmonics) * signs[1]
+            spec = scaled_into_limits(
+                BasisSpec(rng.uniform(0.5, 1.5, harmonics) * signs[0], pitch, config.period,
+                          calf_share),
+                geometry, config.imu_frequency, rng.uniform(0.9, 0.999))
+            report = trajectory_loss(spec, config, geometry)
+            assert report.in_bounds
+            assert len(report._terms.grid) < imu_samples
+            reference = checked_kappa(spec, one_period(spec, config.imu_frequency))
+            assert abs(report.kappa / reference - 1.0) <= 1e-13
+
+    def test_rule_reaching_the_imu_samples_is_the_imu_grid(self, cal_geometry):
+        # 200 samples a period are fewer than 8 harmonics at a thigh+calf
+        # angle near 1.4 rad need
+        config = OptimizerConfig(imu_frequency=100.0)
+        spec = scaled_into_limits(initial_basis_spec(config, harmonic_count=8), cal_geometry,
+                                  config.imu_frequency, 0.95)
+        assert kappa_samples(8, 1.4, 200) == 200
+        report = trajectory_loss(spec, config, cal_geometry)
+        grid = one_period(spec, config.imu_frequency)
+        assert np.array_equal(report._terms.grid, grid)
+        assert report.kappa == checked_kappa(spec, grid)
+
+    def test_limits_are_checked_on_every_imu_sample(self, cal_geometry):
+        # the hip angle peaks between two kappa-grid points; a hip limit
+        # between the two peaks is crossed on the IMU grid only
+        config = OptimizerConfig()
+        spec = BasisSpec([1.0, -1.5, 0.8], [0.5, 0.5, 0.5], config.period)
+        grid = trajectory_loss(spec, config, cal_geometry)._terms.grid
+        imu_peak = eval_basis(spec, one_period(spec, config.imu_frequency)).theta_hip.max()
+        grid_peak = eval_basis(spec, grid).theta_hip.max()
+        assert grid_peak < imu_peak
+        limit = 0.5 * (grid_peak + imu_peak)
+        geometry = replace(cal_geometry, hip_limits=(-1.0, limit))
+        assert not trajectory_loss(spec, config, geometry).in_bounds
+
+    def test_default_runs_meet_the_objective_on_the_imu_grid(self):
+        # every run of the default schedule converges on the kappa grid,
+        # and its trajectory meets the objective on the executed grid too
+        geometry = harness.calibration_geometry()
+        for foot in harness.FOOT_IDS:
+            for seed in range(20):
+                initial, config = _default_matrix_start(foot, seed)
+                result = optimize(initial, config, geometry)
+                assert result.converged
+                grid = one_period(result.spec, config.imu_frequency)
+                assert checked_kappa(result.spec, grid) < config.kappa_objective
 
 
 class TestCovarianceSetType:
