@@ -315,15 +315,21 @@ def _summarize(rows: list[ReportRow], motions, densities) -> list[SummaryRow]:
 def run_matrix(config: ExperimentConfig) -> MatrixResult:
     """Run the full experiment matrix and write the report files.
 
-    Report files (rows.csv, summary.csv, summary.json and the per-cell
-    offset scans) are deterministic for a fixed config; wall-clock timings
-    go to a separate timing.csv so the reports stay byte-reproducible.
-    Work proceeds one trajectory (an a2i seed's, or a gait) at a time: it
-    is built and mapped to its foot series once, and all of its cells run
-    and write their scans before the next. Rows are written per (foot,
-    motion) block, in report order: foot, motion, density, seed. A failed
-    cell records its error without aborting the matrix; a trajectory that
-    fails to build (a rejected a2i one) fails exactly its own cells.
+    Report files (rows.csv, summary.csv, summary.json and the offset scans)
+    are deterministic for a fixed config; wall-clock timings go to a
+    separate timing.csv so the reports stay byte-reproducible. Work
+    proceeds one trajectory (an a2i seed's, or a gait) at a time: it is
+    built and mapped to its foot series once, and all of its cells run
+    before the next. Rows are written per (foot, motion) block, in report
+    order: foot, motion, density, seed. A failed cell records its error
+    without aborting the matrix; a trajectory that fails to build (a
+    rejected a2i one) fails exactly its own cells.
+
+    Each block's scans go to one file, ``scans/{foot}_{motion}.npy``: a
+    float64 array of shape (1 + cells, 2n + 1). Row 0 is the block's lag
+    grid in seconds, and row 1 + i holds the r values of the block's i-th
+    line in rows.csv. A failed cell's row is all NaN; a block whose cells
+    all failed writes no file.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -333,13 +339,16 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     motions = sorted(config.motions, key=lambda m: m.value)
     densities = sorted(config.noise_densities)
     seeds = sorted(config.seeds)
+    # each cell's place in its block, which is report order
+    slots = {cell: i for i, cell in enumerate(product(densities, seeds))}
 
     rows: list[ReportRow] = []
     with fio.open_rows_writer(out / "rows.csv") as write_row, \
             fio.open_timing_writer(out / "timing.csv") as write_timing:
         for foot in feet:
             for motion in motions:
-                block: list[ReportRow] = []
+                block: list[ReportRow | None] = [None] * len(slots)
+                scans = None  # allocated at the block's first scan, once its length is known
                 # the seeds whose cells run each trajectory: one per a2i seed, all for a gait
                 for group in ([[s] for s in seeds] if motion is Motion.A2I else [seeds]):
                     started = time.perf_counter()
@@ -357,19 +366,22 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                                                          foot_series)
                             except CalibrationError as exc:
                                 error = f"{type(exc).__name__}: {exc}"
-                        block.append(ReportRow(foot=foot, motion=motion, noise_density=density,
-                                               seed=seed, wall_time_s=time.perf_counter() - started,
-                                               error=error, **metrics))
+                        slot = slots[density, seed]
+                        block[slot] = ReportRow(foot=foot, motion=motion, noise_density=density,
+                                                seed=seed, wall_time_s=time.perf_counter() - started,
+                                                error=error, **metrics)
                         if scan is not None:
-                            fio.write_offset_scan(
-                                out / "scans" / f"{foot}_{motion.value}_{float(density)!r}_{seed}.csv",
-                                scan)
+                            if scans is None:
+                                scans = np.full((1 + len(slots), len(scan)), math.nan)
+                                scans[0] = scan[:, 0]
+                            scans[1 + slot] = scan[:, 1]
                         started = time.perf_counter()
-                block.sort(key=lambda r: (r.noise_density, r.seed))
                 for row in block:
                     write_row(row)
                     write_timing(row)
                 rows += block
+                if scans is not None:
+                    fio.write_offset_scan(out / "scans" / f"{foot}_{motion.value}.npy", scans)
 
     summary = _summarize(rows, motions, densities)
     fio.write_summary_csv(out / "summary.csv", summary)
@@ -426,11 +438,7 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
     if "geometry" in doc:
         g = doc["geometry"]
         fio.check_keys(g, _GEOMETRY_KEYS, "geometry", required=_GEOMETRY_KEYS)
-        sections["geometry"] = LegGeometry(
-            hip_limits=tuple(g["hip_limits"]),
-            thigh_limits=tuple(g["thigh_limits"]),
-            calf_limits=tuple(g["calf_limits"]),
-        )
+        sections["geometry"] = LegGeometry(**g)
     if "truths" in doc:
         for foot, spec in doc["truths"].items():
             fio.check_keys(spec, fio.TRUTH_KEYS, f"truths.{foot}", required=frozenset({"euler_deg"}))

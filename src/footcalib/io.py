@@ -1,16 +1,18 @@
-"""File formats: delimited-text dumps and JSON documents.
+"""File formats: delimited-text dumps, JSON documents and scan arrays.
 
-All numeric text is written with 17 significant digits so round trips
-preserve doubles exactly, and files end with a newline. Writers are
-deterministic: identical inputs produce byte-identical files.
+Numeric text is written with 17 significant digits so round trips
+preserve doubles exactly, and text files end with a newline. A matrix
+run's offset scans are binary: one float64 ``.npy`` array (the NumPy
+format of ``np.save``) per (foot, motion) block, exact without
+formatting. Writers are deterministic: identical inputs produce
+byte-identical files.
 
 A float table's first column is its time or lag grid. The writer formats
 each distinct grid once and keeps the text of the last few grids (keyed on
-their bytes), so two dumps on one grid, or every offset scan of a matrix
-run, format only their other columns. Tables are parsed by numpy's C
-tokenizer (``np.loadtxt``), which rounds correctly as ``float`` does, so a
-write-read round trip is bit-exact. It rejects values that ``float`` alone
-would take, such as ``1_0``.
+their bytes), so two dumps on one grid format only their other columns.
+Tables are parsed by numpy's C tokenizer (``np.loadtxt``), which rounds
+correctly as ``float`` does, so a write-read round trip is bit-exact. It
+rejects values that ``float`` alone would take, such as ``1_0``.
 """
 
 from __future__ import annotations
@@ -258,5 +260,8 @@ def _json_float(value: float):
     return None if math.isnan(value) else float(value)
 
 
-def write_offset_scan(path, scan: np.ndarray) -> None:
-    _write_table(path, "t_d,r", scan)
+def write_offset_scan(path, table: np.ndarray) -> None:
+    """Write a block's scan table as a ``.npy`` array (``path`` ends in
+    ``.npy``), which ``np.load(path, allow_pickle=False)`` reads back bit
+    for bit."""
+    np.save(path, table, allow_pickle=False)

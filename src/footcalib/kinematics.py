@@ -14,6 +14,7 @@ angle and the combined thigh+calf rate:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,9 +44,17 @@ class LegGeometry:
 
     def __post_init__(self):
         for name in ("hip_limits", "thigh_limits", "calf_limits"):
-            lo, hi = getattr(self, name)
+            value = getattr(self, name)
+            try:
+                lo, hi = value
+            except (TypeError, ValueError):  # not iterable, or not two items
+                lo = hi = None
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (lo, hi)):
+                raise ValueError(f"{name} must be a pair [lower, upper] of numbers, got {value!r}")
+            lo, hi = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"{name} must be a finite interval with lower < upper, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
 
     def limits(self, joint: str) -> tuple[float, float]:
         return getattr(self, f"{joint}_limits")

@@ -129,6 +129,19 @@ class TestMatrixCommand:
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("limits", [[-0.8, 0.0, 0.8], 0.8, ["a", "b"]],
+                             ids=["three-values", "number", "strings"])
+    def test_config_with_malformed_limit_rejected(self, tmp_path, capsys, limits):
+        doc = config_to_dict(default_experiment_config(tmp_path / "unused"))
+        doc["geometry"]["hip_limits"] = limits
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        out = tmp_path / "matrix"
+        code = main(["matrix", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "hip_limits" in error["message"]
+        assert not out.exists()
+
     def test_config_with_unknown_key_rejected(self, tmp_path, capsys):
         # a misspelt section is rejected at load instead of running the defaults
         (tmp_path / "config.json").write_text(json.dumps({"sedes": [1], "motions": ["walk"]}))

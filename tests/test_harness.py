@@ -207,6 +207,15 @@ class TestConfig:
         doc["truths"]["FL"] = {"euler_deg": [10, 20, 30]}
         assert config_from_dict(doc).truths["FL"].time_offset == 0.0
 
+    @pytest.mark.parametrize("limits", [[-0.8, 0.0, 0.8], 0.8, ["a", "b"]],
+                             ids=["three-values", "number", "strings"])
+    def test_malformed_limit_rejected_by_name(self, tmp_path, limits):
+        # each used to fail with a bare unpacking or type error
+        doc = config_to_dict(default_experiment_config(tmp_path / "out"))
+        doc["geometry"]["hip_limits"] = limits
+        with pytest.raises(ValueError, match="hip_limits must be a pair"):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize("key", ["fd_epsilon", "penalty_hip", "penalty_thigh", "penalty_calf"])
     def test_removed_optimizer_key_rejected(self, tmp_path, key):
         # the loss gradient is analytic and the descent keeps the joints
@@ -302,6 +311,31 @@ def small_run(tmp_path_factory):
     return config, run_matrix(config)
 
 
+def pitchless_calls(monkeypatch, numbers):
+    """Patch ``harness.optimize`` so that its calls numbered in ``numbers``
+    (from 1) start without pitch motion, whose singular foot covariance
+    gives kappa infinite, above the band; returns the starts it was given."""
+    calls = []
+    optimize = harness.optimize
+
+    def patched(initial, config, geometry):
+        calls.append(initial)
+        if len(calls) in numbers:
+            initial = replace(initial, pitch_rate_coeffs=np.zeros(initial.harmonic_count))
+        return optimize(initial, config, geometry)
+
+    monkeypatch.setattr(harness, "optimize", patched)
+    return calls
+
+
+def fr_a2i_config(out_dir, seeds):
+    """An a2i-only matrix of foot FR at two densities."""
+    config = default_experiment_config(out_dir, noise_densities=(0.006, 0.03),
+                                       motions=(Motion.A2I,), seeds=seeds,
+                                       optimizer=OptimizerConfig(seed=3))
+    return replace(config, truths={"FR": config.truths["FR"]})
+
+
 class TestRunMatrix:
 
     def test_row_count_bookkeeping(self, small_run):
@@ -330,17 +364,26 @@ class TestRunMatrix:
         assert (out / "summary.csv").exists()
         assert (out / "summary.json").exists()
         assert (out / "timing.csv").exists()
-        scans = list((out / "scans").glob("*.csv"))
-        assert len(scans) == len([r for r in result.rows if not r.error])
+        # one scan array per (foot, motion) block, a row per cell after the lag grid
+        scans = {p.name: np.load(p, allow_pickle=False) for p in (out / "scans").iterdir()}
+        blocks = {(r.foot, r.motion.value) for r in result.rows}
+        assert set(scans) == {f"{foot}_{motion}.npy" for foot, motion in blocks}
+        for foot, motion in blocks:
+            cells = [r for r in result.rows if (r.foot, r.motion.value) == (foot, motion)]
+            table = scans[f"{foot}_{motion}.npy"]
+            assert table.shape[0] == 1 + len(cells)
+            assert [bool(np.isnan(r).all()) for r in table[1:]] == [bool(c.error) for c in cells]
 
     def test_close_densities_get_their_own_scan_files(self, tmp_path):
         # both densities print as 0.00600012 with six significant digits
         config = small_config(tmp_path / "close", motions=(Motion.WALK,),
                               densities=(0.006000123, 0.006000124))
         rows = run_matrix(config).rows
-        scans = list((config.output_dir / "scans").glob("*.csv"))
-        assert len(rows) == 8
-        assert len(scans) == len([r for r in rows if not r.error]) == 8
+        scans = [np.load(p, allow_pickle=False) for p in (config.output_dir / "scans").iterdir()]
+        assert len(rows) == 8 and not any(r.error for r in rows)
+        assert [table.shape[0] for table in scans] == [3] * 4
+        r_rows = {table[i].tobytes() for table in scans for i in (1, 2)}
+        assert len(r_rows) == 8 and not any(np.isnan(table).any() for table in scans)
 
     def test_summary_matches_recomputation_from_rows(self, small_run):
         config, result = small_run
@@ -432,33 +475,44 @@ class TestRunMatrix:
         for row in rows:
             assert row.error.startswith("TrajectoryRejectedError")
             assert math.isnan(row.cn)
-        assert not list((config.output_dir / "scans").glob("*.csv"))
+        assert not list((config.output_dir / "scans").iterdir())
 
     def test_rejected_trajectory_fails_only_its_own_cells(self, tmp_path, monkeypatch):
         # the second of three a2i trajectories starts without pitch motion
         # and is rejected; the other two run all of their cells
-        calls = []
-        optimize = harness.optimize
-
-        def second_pitchless(initial, config, geometry):
-            calls.append(initial)
-            if len(calls) == 2:
-                initial = replace(initial, pitch_rate_coeffs=np.zeros(initial.harmonic_count))
-            return optimize(initial, config, geometry)
-
-        monkeypatch.setattr(harness, "optimize", second_pitchless)
-        config = default_experiment_config(tmp_path / "band", noise_densities=(0.006, 0.03),
-                                           motions=(Motion.A2I,), seeds=(1, 2, 3),
-                                           optimizer=OptimizerConfig(seed=3))
-        config = replace(config, truths={"FR": config.truths["FR"]})
+        calls = pitchless_calls(monkeypatch, {2})
+        config = fr_a2i_config(tmp_path / "band", seeds=(1, 2, 3))
         rows = run_matrix(config).rows
         assert len(calls) == 3
         assert [(r.noise_density, r.seed) for r in rows] == [
             (d, s) for d in (0.006, 0.03) for s in (1, 2, 3)]
         assert [r.seed for r in rows if r.error] == [2, 2]
         assert all(r.error.startswith("TrajectoryRejectedError") for r in rows if r.seed == 2)
-        scans = sorted(p.name for p in (config.output_dir / "scans").glob("*.csv"))
-        assert scans == sorted(f"FR_a2i_{d!r}_{s}.csv" for d in (0.006, 0.03) for s in (1, 3))
+        assert [p.name for p in (config.output_dir / "scans").iterdir()] == ["FR_a2i.npy"]
+
+    def test_block_scan_file_pairs_its_rows_with_rows_csv(self, tmp_path, monkeypatch):
+        # a single-seed block whose trajectory is rejected writes no file;
+        # in the three-seed block, the third trajectory built is rejected
+        pitchless_calls(monkeypatch, {1, 3})
+        solo = fr_a2i_config(tmp_path / "solo", seeds=(2,))
+        assert all(r.error for r in run_matrix(solo).rows)
+        assert not list((solo.output_dir / "scans").iterdir())
+
+        config = fr_a2i_config(tmp_path / "block", seeds=(1, 2, 3))
+        run_matrix(config)
+        rows = read_rows(config.output_dir / "rows.csv")
+        table = np.load(config.output_dir / "scans" / "FR_a2i.npy", allow_pickle=False)
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.shape[0] == 1 + 6 == 1 + len(rows)
+        assert [bool(np.isnan(r).all()) for r in table[1:]] == [bool(r["error"]) for r in rows]
+        for seed in (1, 3):
+            series = harness.trajectory_to_foot_velocity(
+                harness.build_trajectory(config, Motion.A2I, "FR", seed))
+            for density in (0.006, 0.03):
+                scan = harness.run_cell(config, "FR", Motion.A2I, density, seed, series)[1]
+                i = [(r["noise_density"], int(r["seed"])) for r in rows].index((density, seed))
+                assert table[0].tobytes() == scan[:, 0].tobytes()
+                assert table[1 + i].tobytes() == scan[:, 1].tobytes()
 
     def test_a2i_foot_side_shared_by_densities_at_any_seed_count(self, tmp_path):
         # each a2i window is scanned at three densities; with 25 seeds a

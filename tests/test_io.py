@@ -181,11 +181,14 @@ class TestTableWriter:
             assert fio.read_measurements(path).time_grid.tobytes() == g.tobytes()
 
     def test_scans_and_trajectories_on_one_grid(self, tmp_path, trajectory):
+        # scan tables are binary and exact; a dump written after them on a
+        # grid of its own is still the reference text
         lags = np.linspace(-0.05, 0.05, 51)
         for i in range(2):
-            scan = np.column_stack([lags, np.cos(lags * (i + 1))])
-            fio.write_offset_scan(tmp_path / f"scan{i}.csv", scan)
-            assert (tmp_path / f"scan{i}.csv").read_text() == reference_table("t_d,r", scan)
+            table = np.stack([lags, np.cos(lags * (i + 1)), np.full_like(lags, np.nan)])
+            fio.write_offset_scan(tmp_path / f"scan{i}.npy", table)
+            loaded = np.load(tmp_path / f"scan{i}.npy", allow_pickle=False)
+            assert loaded.dtype == np.float64 and loaded.tobytes() == table.tobytes()
         fio.write_trajectory(tmp_path / "traj.csv", trajectory)
         assert (tmp_path / "traj.csv").read_text() == reference_table(
             fio.TRAJECTORY_HEADER, np.column_stack([
@@ -218,9 +221,15 @@ class TestJsonDocuments:
         assert len(doc["kappa_history"]) >= 1
 
     def test_offset_scan_file(self, tmp_path):
-        scan = np.array([[-0.002, 0.5], [0.0, 0.9], [0.002, 0.7]])
-        path = tmp_path / "scan.csv"
-        fio.write_offset_scan(path, scan)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t_d,r"
-        assert len(lines) == 4
+        # a block's lag grid, a cell's r values and a failed cell's NaN row
+        table = np.array([[-0.002, 0.0, 0.002], [0.5, 0.9, 0.7], [np.nan] * 3])
+        path = tmp_path / "FL_walk.npy"
+        fio.write_offset_scan(path, table)
+        assert [p.name for p in tmp_path.iterdir()] == ["FL_walk.npy"]
+        loaded = np.load(path, allow_pickle=False)
+        assert loaded.dtype == np.float64 and loaded.shape == (3, 3)
+        assert loaded.tobytes() == table.tobytes()
+        # the bytes are those of np.save, so identical tables write identical files
+        again = tmp_path / "again.npy"
+        np.save(again, table, allow_pickle=False)
+        assert path.read_bytes() == again.read_bytes()
