@@ -39,9 +39,9 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v)
 
 
-def _add_common(parser):
+def _add_common(parser, out_default=Path(".")):
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--out", type=Path, default=out_default, help="output directory")
 
 
 @lru_cache(maxsize=1)
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-r", type=float, default=0.25, help="offset search range [s]")
 
     p = sub.add_parser("matrix", help="run a full experiment matrix")
-    _add_common(p)
+    _add_common(p, out_default=None)  # no --out: the config's output_dir, else .
     p.add_argument("--config", type=Path, help="experiment config document (json)")
     p.add_argument("--noise", type=_parse_floats, help="override noise densities, e.g. 0.006,0.03")
     p.add_argument("--motion", type=str, help="override motions, e.g. a2i,walk")
@@ -145,7 +145,7 @@ def _cmd_matrix(args) -> int:
     if args.config:
         config = harness.load_config(args.config, output_dir=args.out)
     else:
-        config = harness.default_experiment_config(args.out, base_seed=args.seed)
+        config = harness.default_experiment_config(args.out or ".", base_seed=args.seed)
     overrides = {}
     # an empty override is kept, for ExperimentConfig to reject
     if args.noise is not None:

@@ -198,7 +198,7 @@ def rotation_error(rotation_estimate, truth_euler_deg) -> RotationError:
     cos_angle = np.clip((np.trace(relative) - 1.0) / 2.0, -1.0, 1.0)
     geodesic = float(math.degrees(math.acos(cos_angle)))
 
-    flagged = min(abs(abs(est_euler[1]) - 90.0), abs(abs(truth[1]) - 90.0)) < 0.5
+    flagged = bool(min(abs(abs(est_euler[1]) - 90.0), abs(abs(truth[1]) - 90.0)) < 0.5)
     return RotationError(degrees=geodesic if flagged else euler_norm,
                          geodesic_degrees=geodesic, gimbal_flagged=flagged)
 
@@ -293,22 +293,13 @@ def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float
 
 
 def _summarize(rows: list[ReportRow], motions, densities) -> list[SummaryRow]:
+    """Medians over each (motion, density) group's cells that ran; NaN if none ran."""
     summary = []
-    for motion in motions:
-        for density in densities:
-            cells = [r for r in rows
-                     if r.motion is motion and r.noise_density == density and not r.error]
-            if cells:
-                cn, cc, re_deg, td_ms = np.median(
-                    [(r.cn, r.cc, r.re_deg, abs(r.td_error_ms)) for r in cells], axis=0).tolist()
-                summary.append(SummaryRow(
-                    motion=motion, noise_density=density, rows=len(cells), median_cn=cn,
-                    median_cc=cc, median_re_deg=re_deg, median_abs_td_error_ms=td_ms))
-            else:
-                summary.append(SummaryRow(motion=motion, noise_density=density, rows=0,
-                                          median_cn=math.nan, median_cc=math.nan,
-                                          median_re_deg=math.nan,
-                                          median_abs_td_error_ms=math.nan))
+    for motion, density in product(motions, densities):
+        cells = [(r.cn, r.cc, r.re_deg, abs(r.td_error_ms)) for r in rows
+                 if r.motion is motion and r.noise_density == density and not r.error]
+        medians = np.median(cells, axis=0).tolist() if cells else [math.nan] * 4
+        summary.append(SummaryRow(motion, density, len(cells), *medians))
     return summary
 
 

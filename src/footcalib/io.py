@@ -7,12 +7,20 @@ format of ``np.save``) per (foot, motion) block, exact without
 formatting. Writers are deterministic: identical inputs produce
 byte-identical files.
 
-A float table's first column is its time or lag grid. The writer formats
-each distinct grid once and keeps the text of the last few grids (keyed on
-their bytes), so two dumps on one grid format only their other columns.
-Tables are parsed by numpy's C tokenizer (``np.loadtxt``), which rounds
-correctly as ``float`` does, so a write-read round trip is bit-exact. It
-rejects values that ``float`` alone would take, such as ``1_0``.
+A dump (a trajectory or a measurement series) is a float table whose
+first column is its time grid. The writer formats each distinct grid once
+and keeps the text of the last few grids (keyed on their bytes), so two
+dumps on one grid format only their other columns. Tables are parsed by
+numpy's C tokenizer (``np.loadtxt``), which rounds correctly as ``float``
+does, so a write-read round trip is bit-exact. It rejects values that
+``float`` alone would take, such as ``1_0``.
+
+The matrix reports name their columns once, in ``ROW_FIELDS``,
+``TIMING_FIELDS`` and ``SUMMARY_FIELDS``; a CSV header is its tuple joined
+with commas. CSV text is a flag as 1 or 0, a float in ``%.17g``, a motion
+as its value, and other text with each comma replaced by ``;``. JSON
+documents are strict (RFC 8259): a motion is its value, a non-finite float
+``null``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from io import StringIO
 from pathlib import Path
 
@@ -33,10 +41,6 @@ from .simulate import GroundTruth, matrix_to_euler_deg
 
 TRAJECTORY_HEADER = "t,theta_hip,theta_thigh,theta_calf,dtheta_hip,dtheta_thigh,dtheta_calf"
 MEASUREMENT_HEADER = "t,wx,wy,wz,frame"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 @lru_cache(maxsize=4)
@@ -116,7 +120,15 @@ def read_measurements(path) -> AngularVelocitySeries:
 
 
 def _dump_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON (RFC 8259): a non-finite float raises instead of writing NaN
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _json_value(value):
+    """A motion as its value, a non-finite float as None (JSON ``null``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return getattr(value, "value", value)
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:
@@ -158,10 +170,10 @@ def write_optimizer_result(path, result: OptimizeResult) -> None:
         "T": float(spec.period),
         "N": int(spec.harmonic_count),
         "rho": float(spec.calf_share),
-        "kappa_final": float(result.kappa_final),
+        "kappa_final": _json_value(float(result.kappa_final)),
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
-        "kappa_history": [float(v) for v in result.kappa_history],
+        "kappa_history": [_json_value(float(v)) for v in result.kappa_history],
     })
 
 
@@ -173,91 +185,60 @@ def write_calibration_report(path, result: CalibrationResult) -> None:
         "rotation_matrix": [float(v) for v in result.rotation.reshape(-1)],
         "correlation": float(result.correlation),
         "condition_number": float(result.condition_number),
-        "scan": [[float(t), float(r)] for t, r in result.scan],
+        # a lag whose correlation failed has r NaN, written null
+        "scan": [[t, _json_value(r)] for t, r in result.scan.tolist()],
     })
 
 
-ROWS_HEADER = "foot,motion,noise_density,seed,cn,cc,re_deg,td_error_ms,gimbal_flagged,geodesic_deg,error"
-TIMING_HEADER = "foot,motion,noise_density,seed,wall_time_s"
-SUMMARY_HEADER = "motion,noise_density,rows,median_cn,median_cc,median_re_deg,median_abs_td_error_ms"
+# the columns of rows.csv, timing.csv and the summary files, each named once
+ROW_FIELDS = ("foot", "motion", "noise_density", "seed", "cn", "cc", "re_deg", "td_error_ms",
+              "gimbal_flagged", "geodesic_deg", "error")
+TIMING_FIELDS = ROW_FIELDS[:4] + ("wall_time_s",)
+SUMMARY_FIELDS = ROW_FIELDS[1:3] + ("rows", "median_cn", "median_cc", "median_re_deg",
+                                     "median_abs_td_error_ms")
 
 
-def _row_line(row) -> str:
-    return ",".join([
-        row.foot,
-        row.motion.value,
-        _fmt(row.noise_density),
-        str(row.seed),
-        _fmt(row.cn),
-        _fmt(row.cc),
-        _fmt(row.re_deg),
-        _fmt(row.td_error_ms),
-        "1" if row.gimbal_flagged else "0",
-        _fmt(row.geodesic_deg),
-        row.error.replace(",", ";"),
-    ])
+def _csv_text(value) -> str:
+    """CSV text of a report value; a comma in text becomes ';', so it stays one field."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(getattr(value, "value", value)).replace(",", ";")
+
+
+def _csv_line(record, fields) -> str:
+    return ",".join([_csv_text(getattr(record, name)) for name in fields]) + "\n"
 
 
 @contextmanager
-def open_rows_writer(path):
-    """Incremental report-row writer; yields a callable taking one row."""
+def _open_record_writer(path, fields, flush: bool):
+    """Write the ``fields`` header; yield a callable writing one record's line."""
     with open(path, "w", newline="\n") as handle:
-        handle.write(ROWS_HEADER + "\n")
+        handle.write(",".join(fields) + "\n")
 
-        def write(row):
-            handle.write(_row_line(row) + "\n")
-            handle.flush()
+        def write(record):
+            handle.write(_csv_line(record, fields))
+            if flush:
+                handle.flush()
 
         yield write
 
 
-@contextmanager
-def open_timing_writer(path):
-    """Wall-time sidecar writer; kept out of rows.csv so reports stay deterministic."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(TIMING_HEADER + "\n")
-
-        def write(row):
-            handle.write(",".join([
-                row.foot, row.motion.value, _fmt(row.noise_density), str(row.seed),
-                _fmt(row.wall_time_s),
-            ]) + "\n")
-
-        yield write
+# rows.csv is flushed row by row; the wall times go to the timing.csv
+# sidecar, kept out of rows.csv so the reports stay deterministic
+open_rows_writer = partial(_open_record_writer, fields=ROW_FIELDS, flush=True)
+open_timing_writer = partial(_open_record_writer, fields=TIMING_FIELDS, flush=False)
 
 
 def write_summary_csv(path, summary) -> None:
-    lines = [SUMMARY_HEADER]
-    for cell in summary:
-        lines.append(",".join([
-            cell.motion.value,
-            _fmt(cell.noise_density),
-            str(cell.rows),
-            _fmt(cell.median_cn),
-            _fmt(cell.median_cc),
-            _fmt(cell.median_re_deg),
-            _fmt(cell.median_abs_td_error_ms),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(",".join(SUMMARY_FIELDS) + "\n"
+                          + "".join([_csv_line(cell, SUMMARY_FIELDS) for cell in summary]))
 
 
 def write_summary_json(path, summary) -> None:
-    _dump_json(path, [
-        {
-            "motion": cell.motion.value,
-            "noise_density": cell.noise_density,
-            "rows": cell.rows,
-            "median_cn": _json_float(cell.median_cn),
-            "median_cc": _json_float(cell.median_cc),
-            "median_re_deg": _json_float(cell.median_re_deg),
-            "median_abs_td_error_ms": _json_float(cell.median_abs_td_error_ms),
-        }
-        for cell in summary
-    ])
-
-
-def _json_float(value: float):
-    return None if math.isnan(value) else float(value)
+    _dump_json(path, [{name: _json_value(getattr(cell, name)) for name in SUMMARY_FIELDS}
+                      for cell in summary])
 
 
 def write_offset_scan(path, table: np.ndarray) -> None:

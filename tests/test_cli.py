@@ -1,12 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from footcalib import AngularVelocitySeries, Frame, default_experiment_config, period_samples
+from footcalib import (AngularVelocitySeries, Frame, Motion, NoiseModel, default_experiment_config,
+                       period_samples, simulate_imu, trajectory_to_foot_velocity)
 from footcalib.cli import _build_parser, main
-from footcalib.harness import config_to_dict
+from footcalib.harness import build_trajectory, config_to_dict, save_config
 from footcalib.io import read_measurements, read_trajectory, write_measurements
 from conftest import read_rows
 
@@ -60,6 +62,34 @@ class TestPipeline:
         assert report["scan"]
 
 
+def strict_json(path):
+    """The JSON document at ``path``; a NaN or Infinity token fails the test."""
+    def reject(token):
+        raise AssertionError(f"{path}: non-JSON token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+class TestCalibrateCommand:
+    def test_failed_lags_written_as_null(self, tmp_path):
+        # IMU samples zero before index 1800 leave no motion in the window at
+        # most lags of a two-period a2i dump: their correlations fail
+        config = default_experiment_config(tmp_path)
+        foot = trajectory_to_foot_velocity(build_trajectory(config, Motion.A2I, "FL", 0))
+        imu = simulate_imu(foot, config.truths["FL"], NoiseModel(density=0.0, seed=0))
+        samples = imu.samples.copy()
+        samples[:1800] = 0.0
+        write_measurements(tmp_path / "foot.csv", foot)
+        write_measurements(tmp_path / "imu.csv", AngularVelocitySeries(imu.time_grid, samples,
+                                                                        imu.frame))
+        assert main(["calibrate", "--imu", str(tmp_path / "imu.csv"), "--foot",
+                     str(tmp_path / "foot.csv"), "--t-r", "0.25", "--out", str(tmp_path)]) == 0
+        report = strict_json(tmp_path / "calibration_report.json")
+        r_values = [r for _, r in report["scan"]]
+        assert None in r_values
+        assert all(r is None or math.isfinite(r) for r in r_values)
+
+
 class TestOptimizeCommand:
     def test_narrow_offset_range_converges(self, tmp_path, capsys):
         # at --t-r 0.05 the start lies inside the limits at kappa ~2217;
@@ -103,6 +133,20 @@ class TestMatrixCommand:
         rows = read_rows(out / "rows.csv")
         assert len(rows) == 4
         assert all(not r["error"] for r in rows)
+
+    def test_config_output_dir_used_without_out(self, tmp_path, monkeypatch):
+        # --out wins when given; without it the reports go to the document's
+        # output_dir, not to the working directory
+        config = default_experiment_config("wanted-dir", noise_densities=(0.006,),
+                                           motions=(Motion.WALK,), seeds=(0,))
+        save_config(tmp_path / "config.json", config)
+        monkeypatch.chdir(tmp_path)
+        assert main(["matrix", "--config", "config.json"]) == 0
+        assert len(read_rows(tmp_path / "wanted-dir" / "rows.csv")) == 4
+        assert not (tmp_path / "rows.csv").exists()
+        assert main(["matrix", "--config", "config.json", "--out", "given"]) == 0
+        assert (tmp_path / "given" / "rows.csv").read_bytes() == \
+            (tmp_path / "wanted-dir" / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize("override", [
         ["--noise", "", "--motion", "walk"],

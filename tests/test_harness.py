@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from footcalib import (
     rotation_error,
     run_matrix,
 )
+from footcalib import io as fio
 from footcalib.calibrate import _foot_side
 from footcalib.harness import (
     A2I_KAPPA_BAND,
@@ -46,7 +48,7 @@ class TestRotationError:
         estimate = Rotation.from_euler("XYZ", [0.0, 0.0, 10.0], degrees=True).as_matrix()
         result = rotation_error(estimate, [0.0, 0.0, 0.0])
         assert result.degrees == pytest.approx(10.0, abs=1e-9)
-        assert not result.gimbal_flagged
+        assert type(result.gimbal_flagged) is bool and not result.gimbal_flagged
 
     def test_matches_componentwise_recomputation(self):
         rng = np.random.default_rng(6)
@@ -71,7 +73,7 @@ class TestRotationError:
         truth = np.array([10.0, 89.8, -20.0])
         estimate = Rotation.from_euler("XYZ", [11.0, 89.9, -21.0], degrees=True).as_matrix()
         result = rotation_error(estimate, truth)
-        assert result.gimbal_flagged
+        assert type(result.gimbal_flagged) is bool and result.gimbal_flagged
         assert result.degrees == result.geodesic_degrees
 
     def test_rejects_non_rotation(self):
@@ -553,3 +555,35 @@ class TestRunMatrix:
         config, _ = small_run
         doc = json.loads((config.output_dir / "summary.json").read_text())
         assert {cell["motion"] for cell in doc} == {"a2i", "walk"}
+
+    def test_report_headers_are_the_field_tuples(self, small_run):
+        config, _ = small_run
+        for name, fields in (("rows.csv", fio.ROW_FIELDS), ("timing.csv", fio.TIMING_FIELDS),
+                             ("summary.csv", fio.SUMMARY_FIELDS)):
+            header = (config.output_dir / name).read_text().split("\n", 1)[0]
+            assert header == ",".join(fields), name
+
+    def test_summary_json_and_csv_hold_the_same_records(self, tmp_path, monkeypatch):
+        # every a2i trajectory starts without pitch motion and is rejected,
+        # so both a2i groups have zero rows and NaN medians
+        pitchless_calls(monkeypatch, {1, 2})
+        config = replace(fr_a2i_config(tmp_path / "summary", seeds=(1, 2)),
+                         motions=(Motion.A2I, Motion.WALK))
+        summary = run_matrix(config).summary
+        assert [cell.rows for cell in summary] == [0, 0, 2, 2]
+        with open(config.output_dir / "summary.csv", newline="") as handle:
+            reader = csv.DictReader(handle)
+            assert tuple(reader.fieldnames) == fio.SUMMARY_FIELDS
+            lines = list(reader)
+        records = json.loads((config.output_dir / "summary.json").read_text(),
+                             parse_constant=lambda token: pytest.fail(f"JSON token {token}"))
+        assert len(records) == len(lines) == len(summary)
+        for record, line in zip(records, lines):
+            assert set(record) == set(fio.SUMMARY_FIELDS)
+            assert record["motion"] == line["motion"]
+            for name in fio.SUMMARY_FIELDS[1:]:
+                if record[name] is None:
+                    assert math.isnan(float(line[name])), name
+                else:
+                    assert record[name] == float(line[name]), name
+        assert [r["median_cn"] for r in records[:2]] == [None, None]
