@@ -10,11 +10,11 @@ times the conjugate spectrum of the foot window, transformed back. The
 IMU auto-covariances come from windowed prefix sums. Each lag is then
 scored in closed form by whitening: three times the squared trace
 correlation is the squared Frobenius norm of the cross-covariance
-whitened on both sides by Cholesky factors. The foot side of the scan,
-its covariance, condition number and whitened spectrum, depends only on
-the foot window, so it is computed once per window and shared by every
-scan of that window. A determinant screen clears most lags of the
-singular-value floor, so only the doubtful ones reach an eigensolver.
+whitened on both sides by Cholesky factors. The foot side of the scan
+depends only on the foot series: ``foot_side`` computes it once, and
+``scan_offset`` scans any IMU stream against it. A determinant screen
+clears most lags of the singular-value floor, so only the doubtful ones
+reach an eigensolver.
 The extrinsic rotation then comes from an SVD-projected product of the
 covariance matrices at the refined offset.
 """
@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import IllConditionedError, RankDeficiencyError
 from .kinematics import AngularVelocitySeries, Frame, resample
-from .optimizer import column_means, condition_number, sample_covariance
+from .optimizer import _kappa, column_means, sample_covariance
 
 _AXES = ("x", "y", "z")
 # the six distinct entries of a symmetric 3x3 matrix, in the order 00 01 02 11 12 22
@@ -213,24 +212,6 @@ class OffsetEstimate:
         return float(np.nanmax(self.scan[:, 1]))
 
 
-def _paired_window(imu: AngularVelocitySeries, foot: AngularVelocitySeries, dt: float,
-                   offset_range: float, window_samples: int | None) -> tuple[int, int]:
-    """Index window on the common grid, of spacing ``dt``, valid for every candidate shift."""
-    _require_aligned(imu, foot)
-    margin = int(math.ceil(offset_range / dt - 1e-9))
-    i0, i1 = margin, len(foot) - margin
-    if i1 - i0 < 2:
-        raise ValueError("series too short for the requested offset range")
-    if window_samples is not None:
-        if window_samples < 2 or window_samples > i1 - i0:
-            raise ValueError(
-                f"window of {window_samples} samples does not fit the valid span of {i1 - i0}"
-            )
-        i0 = i0 + (i1 - i0 - window_samples) // 2
-        i1 = i0 + window_samples
-    return i0, i1
-
-
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c at least ``n`` (n >= 1), a length the real FFT handles fast."""
     best = 1 << (n - 1).bit_length()
@@ -244,47 +225,69 @@ def _fft_length(n: int) -> int:
     return best
 
 
-@lru_cache(maxsize=24)
-def _foot_side(window: bytes, fft_length: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Read-only foot side of the offset scan for a (W, 3) float64 foot window given as its bytes.
+@dataclass(frozen=True)
+class FootSide:
+    """The part of the offset scan that depends only on the foot series; the arrays it adds are
+    read-only."""
 
-    Returns S_FF, its condition number, and the conjugate real spectrum at
-    ``fft_length`` of the centred window whitened by L_F^-1, where
-    S_FF = L_F L_F^T, and divided by W - 1. S_FF below the
-    ``require_excited`` floor raises; an exception is not cached, so such
-    a window raises on every call. Keyed on the window's bytes, every
-    scan of one foot window shares one entry. The matrix runs all cells
-    of a trajectory before the next, so an a2i window is shared by its
-    noise densities, and a gait window by all of a foot's cells of that
-    gait, whatever the seed count. A default-matrix entry holds at most
-    about 100 KB, key included.
+    foot: AngularVelocitySeries
+    i0: int                # the foot window [i0, i1) of W samples; the scan reads the IMU
+    i1: int                # block [i0 - n, i1 + n)
+    lags: np.ndarray       # the integer lags -n .. n
+    fft_length: int        # of the scan's real FFT, at least W + 2n
+    sigma_ff: np.ndarray
+    kappa: float           # the condition number of sigma_ff
+    spectrum: np.ndarray   # conjugate spectrum of the centred window whitened by L_F^-1, over W - 1
+
+
+def foot_side(foot: AngularVelocitySeries, offset_range: float,
+              window_samples: int | None) -> FootSide:
+    """Foot side of a scan over ±``offset_range`` on ``window_samples`` (None: the full valid span).
+
+    The window is centred in the span valid for every lag. A range above a quarter of the span,
+    or a window that does not fit, raises ValueError; S_FF below the ``require_excited`` floor
+    raises the error that names its weak axis.
     """
-    foot_window = np.frombuffer(window).reshape(-1, 3)
-    sigma_ff = sample_covariance(foot_window)
+    if offset_range > foot.span / 4:
+        raise ValueError(f"offset range {offset_range} exceeds a quarter of the series span {foot.span}")
+    dt = foot.uniform_dt()
+    n = int(math.floor(offset_range / dt + 1e-9))
+    margin = int(math.ceil(offset_range / dt - 1e-9))
+    i0, i1 = margin, len(foot) - margin
+    if i1 - i0 < 2:
+        raise ValueError("series too short for the requested offset range")
+    if window_samples is not None:
+        if window_samples < 2 or window_samples > i1 - i0:
+            raise ValueError(f"window of {window_samples} samples does not fit the valid span "
+                             f"of {i1 - i0}")
+        i0 += (i1 - i0 - window_samples) // 2
+        i1 = i0 + window_samples
+    # BLAS sums the strided columns of a table read from text in another order: S_FF
+    # and the spectrum are taken on a contiguous copy, S_IF (``scan_offset``) on the window
+    window = np.ascontiguousarray(foot.samples[i0:i1])
+    sigma_ff = sample_covariance(window)
     require_excited(sigma_ff, "sigma_ff")
-    whitening = np.linalg.inv(np.linalg.cholesky(sigma_ff))
-    whitened = whitening @ (foot_window - column_means(foot_window)).T
-    spectrum = np.conj(np.fft.rfft(whitened, fft_length)) / (len(foot_window) - 1)
-    sigma_ff.flags.writeable = False
-    spectrum.flags.writeable = False
-    return sigma_ff, condition_number(sigma_ff), spectrum
+    whitened = np.linalg.inv(np.linalg.cholesky(sigma_ff)) @ (window - column_means(window)).T
+    fft_length = _fft_length(i1 - i0 + 2 * n)
+    side = FootSide(foot, i0, i1, np.arange(-n, n + 1), fft_length, sigma_ff, _kappa(sigma_ff),
+                    np.conj(np.fft.rfft(whitened, fft_length)) / (i1 - i0 - 1))
+    side.lags.flags.writeable = sigma_ff.flags.writeable = side.spectrum.flags.writeable = False
+    return side
 
 
-def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, n: int,
-                      foot_spectrum: np.ndarray, fft_length: int) -> np.ndarray:
-    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with the foot window per lag k in [-n, n].
+def _lag_correlations(imu_samples: np.ndarray, side: FootSide) -> np.ndarray:
+    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with the foot window per lag k.
 
-    ``foot_spectrum`` is the foot side of ``_foot_side`` at ``fft_length``,
-    which is at least the block length W + 2n. All 2n+1 lags are scored in
-    one pass over the IMU block ``[i0 - n, i1 + n)``, centred once on its
-    own mean so that the windowed sums below carry no DC level into their
-    cancellation. With W the window length and x the centred block:
+    All 2n+1 lags are scored in one pass over the IMU block
+    ``[i0 - n, i1 + n)``, centred once on its own mean so that the windowed
+    sums below carry no DC level into their cancellation. With W the
+    window length and x the centred block:
 
     - S_IF(k) L_F^-T, the whitened cross-covariance, is the inverse real
-      FFT of the block's spectrum times the foot spectrum: one forward
+      FFT of the block's spectrum times the side's spectrum: one forward
       transform of three rows, and one inverse transform of three rows per
       IMU axis. Outputs 0 .. 2n are the lags -n .. n. The zero padding to
-      ``fft_length`` keeps them free of wrap-around, since no product of a
+      ``side.fft_length`` keeps them free of wrap-around, since no product of a
       block sample with a window sample reaches past W + 2n. The foot
       window is centred, so the IMU mean would cancel here anyway.
     - S_II(k) = (S2 - S1 S1^T / W) / (W - 1), where S1 and S2 are the
@@ -306,15 +309,15 @@ def _lag_correlations(imu_samples: np.ndarray, i0: int, i1: int, n: int,
     NaN; the determinant screen of ``_usable`` clears most lags, and only
     the rest reach the eigenvalue check of ``_singular``.
     """
-    width = i1 - i0
+    i0, i1, lag_count, fft_length = side.i0, side.i1, len(side.lags), side.fft_length
+    width, n = i1 - i0, lag_count // 2
     block = imu_samples[i0 - n:i1 + n]
     block = np.ascontiguousarray((block - column_means(block)).T)
-    lag_count = 2 * n + 1
 
     spectrum = np.fft.rfft(block, fft_length)
     whitened_if = np.empty((3, 3, lag_count))
     for a in range(3):
-        whitened_if[a] = np.fft.irfft(spectrum[a] * foot_spectrum, fft_length)[:, :lag_count]
+        whitened_if[a] = np.fft.irfft(spectrum[a] * side.spectrum, fft_length)[:, :lag_count]
 
     steps = np.empty((9, lag_count))
     head = block[:, :width]
@@ -344,6 +347,21 @@ def _parabolic_peak(rs: np.ndarray, best: int) -> float:
     return float((r_minus - r_plus) / (2.0 * curvature))
 
 
+def scan_offset(side: FootSide, imu_time: np.ndarray,
+                imu_samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """``estimate_time_offset`` on IMU samples on the grid of ``side.foot``: the refined offset, r
+    per lag of ``side.lags``, the IMU window resampled at that offset and its S_IF."""
+    rs = _lag_correlations(imu_samples, side)
+    if np.isnan(rs).all():
+        raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
+    ties = np.flatnonzero(rs == np.nanmax(rs))
+    best = int(ties[np.argmin(np.abs(side.lags[ties]))])
+    foot, i0, i1 = side.foot, side.i0, side.i1
+    time_offset = float((side.lags[best] + _parabolic_peak(rs, best)) * foot.uniform_dt())
+    shifted = resample(imu_time, imu_samples, foot.time_grid[i0:i1] + time_offset)
+    return time_offset, rs, shifted, sample_covariance(shifted, foot.samples[i0:i1])
+
+
 def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
                          search: OffsetSearch,
                          window_samples: int | None = None) -> OffsetEstimate:
@@ -357,31 +375,18 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
     scan holds the integer-lag rows only, and the covariance set comes
     from the IMU window resampled once, at the refined offset.
     """
-    if search.offset_range > foot.span / 4:
-        raise ValueError(
-            f"offset range {search.offset_range} exceeds a quarter of the series span {foot.span}"
-        )
-    dt = foot.uniform_dt()
-    i0, i1 = _paired_window(imu, foot, dt, search.offset_range, window_samples)
-    n = int(math.floor(search.offset_range / dt + 1e-9))
-    foot_window = foot.samples[i0:i1]
-    fft_length = _fft_length(i1 - i0 + 2 * n)
-    sigma_ff, foot_condition, foot_spectrum = _foot_side(foot_window.tobytes(), fft_length)
+    _require_aligned(imu, foot)
+    side, dt = foot_side(foot, search.offset_range, window_samples), foot.uniform_dt()
+    time_offset, rs, shifted, sigma_if = scan_offset(side, imu.time_grid, imu.samples)
+    covariance = CovarianceSet(sample_covariance(shifted), side.sigma_ff, sigma_if)
+    return OffsetEstimate(time_offset, np.column_stack([side.lags * dt, rs]), covariance,
+                          side.kappa)
 
-    lags = np.arange(-n, n + 1)
-    rs = _lag_correlations(imu.samples, i0, i1, n, foot_spectrum, fft_length)
-    if np.isnan(rs).all():
-        raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
-    ties = np.flatnonzero(rs == np.nanmax(rs))
-    best = int(ties[np.argmin(np.abs(lags[ties]))])
-    time_offset = float((lags[best] + _parabolic_peak(rs, best)) * dt)
 
-    shifted = resample(imu.time_grid, imu.samples, foot.time_grid[i0:i1] + time_offset)
-    return OffsetEstimate(time_offset=time_offset,
-                          scan=np.column_stack([lags * dt, rs]),
-                          covariance=CovarianceSet(sample_covariance(shifted), sigma_ff,
-                                                   sample_covariance(shifted, foot_window)),
-                          condition_number=foot_condition)
+def project_rotation(sigma_ff: np.ndarray, sigma_fi: np.ndarray) -> np.ndarray:
+    """The array core of ``estimate_rotation``: S_FF^-1 S_FI projected onto SO(3)."""
+    u, _, vt = np.linalg.svd(np.linalg.solve(sigma_ff, sigma_fi))
+    return u @ np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))]) @ vt
 
 
 def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
@@ -398,10 +403,7 @@ def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
     raises the error that names its weak axis.
     """
     require_excited(cov.sigma_ff, "sigma_ff")
-    m = np.linalg.solve(cov.sigma_ff, cov.sigma_fi)
-    u, _, vt = np.linalg.svd(m)
-    d = np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))])
-    return u @ d @ vt
+    return project_rotation(cov.sigma_ff, cov.sigma_fi)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ and time-offset error per cell, and writes deterministic report files.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import time
@@ -17,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import OffsetSearch, calibrate
+# a cell runs the array cores; bench/tracing.py still patches calibrate and simulate_imu here
+from .calibrate import FootSide, calibrate, foot_side, project_rotation, scan_offset  # noqa: F401
 from .errors import CalibrationError, TrajectoryRejectedError
-from .kinematics import AngularVelocitySeries, JointTrajectory, LegGeometry, trajectory_to_foot_velocity
+from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 from .optimizer import (OptimizerConfig, eval_basis, initial_basis_spec, is_count, optimize,
                         period_samples, require_limits_contain_zero)
-from .simulate import (GaitKind, GroundTruth, NoiseModel, baseline_gait, euler_deg_to_matrix,
-                       matrix_to_euler_deg, random_ground_truth, simulate_imu)
+from .simulate import (GaitKind, GroundTruth, add_noise, baseline_gait, clean_stream,  # noqa: F401
+                       euler_deg_to_matrix, matrix_to_euler_deg, random_ground_truth, simulate_imu)
 from . import io as fio
 
 FOOT_IDS = ("FL", "FR", "RL", "RR")
@@ -176,10 +178,6 @@ class RotationError:
     gimbal_flagged: bool
 
 
-def _wrap_deg(d: np.ndarray) -> np.ndarray:
-    return (d + 180.0) % 360.0 - 180.0
-
-
 def rotation_error(rotation_estimate, truth_euler_deg) -> RotationError:
     est = np.asarray(rotation_estimate, dtype=float)
     if est.shape != (3, 3) or not (np.abs(est.T @ est - np.eye(3)).max() <= 1e-9
@@ -188,19 +186,19 @@ def rotation_error(rotation_estimate, truth_euler_deg) -> RotationError:
     truth = np.asarray(truth_euler_deg, dtype=float)
     if truth.shape != (3,):
         raise ValueError("truth_euler_deg must be a 3-vector (roll, pitch, yaw) in degrees")
+    return RotationError(*_rotation_error(est, truth, euler_deg_to_matrix(truth)))
 
+
+def _rotation_error(est: np.ndarray, truth: np.ndarray,
+                    truth_matrix: np.ndarray) -> tuple[float, float, bool]:
+    """The array core of ``rotation_error``: its three fields, from a truth's angles and matrix."""
     est_euler = matrix_to_euler_deg(est)
-    per_axis = _wrap_deg(est_euler - truth)
+    per_axis = (est_euler - truth + 180.0) % 360.0 - 180.0  # wrapped to [-180, 180)
     euler_norm = float(np.sqrt(np.sum(per_axis ** 2)))
-
-    truth_matrix = euler_deg_to_matrix(truth)
-    relative = est @ truth_matrix.T
-    cos_angle = np.clip((np.trace(relative) - 1.0) / 2.0, -1.0, 1.0)
+    cos_angle = np.clip((np.trace(est @ truth_matrix.T) - 1.0) / 2.0, -1.0, 1.0)
     geodesic = float(math.degrees(math.acos(cos_angle)))
-
     flagged = bool(min(abs(abs(est_euler[1]) - 90.0), abs(abs(truth[1]) - 90.0)) < 0.5)
-    return RotationError(degrees=geodesic if flagged else euler_norm,
-                         geodesic_degrees=geodesic, gimbal_flagged=flagged)
+    return geodesic if flagged else euler_norm, geodesic, flagged
 
 
 @dataclass(frozen=True)
@@ -265,31 +263,35 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
     return baseline_gait(_GAIT_FOR_MOTION[motion], opt.imu_frequency)
 
 
-def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float,
-             seed: int, foot_series: AngularVelocitySeries):
-    """One matrix cell: simulate, calibrate, compute metrics.
-
-    ``foot_series`` is the foot-end angular velocity of the cell's
-    trajectory. Returns (ReportRow fields without wall time, offset scan).
-    """
+def _prepare(config: ExperimentConfig, motion: Motion, foot: str,
+             seed: int) -> tuple[FootSide | None, str]:
+    """The foot side of the trajectory that ``build_trajectory`` gives, or the error text of
+    its rejection or of a foot window below the excitation floor."""
     opt = config.optimizer
-    truth = config.truths[foot]
-    noise_seed = _child_seed(opt.seed, 2, _foot_code(foot), _MOTION_CODE[motion],
-                             _density_code(density), seed)
-    imu = simulate_imu(foot_series, truth, NoiseModel(density=density, seed=noise_seed))
     # an a2i cell is calibrated on one period, away from the data edges
     window = period_samples(opt.period, opt.imu_frequency) if motion is Motion.A2I else None
-    result = calibrate(imu, foot_series, OffsetSearch(opt.offset_range), window)
-    err = rotation_error(result.rotation, truth.euler_deg)
-    metrics = dict(
-        cn=result.condition_number,
-        cc=result.correlation,
-        re_deg=err.degrees,
-        td_error_ms=(result.time_offset - truth.time_offset) * 1e3,
-        gimbal_flagged=err.gimbal_flagged,
-        geodesic_deg=err.geodesic_degrees,
-    )
-    return metrics, result.scan
+    try:
+        series = trajectory_to_foot_velocity(build_trajectory(config, motion, foot, seed))
+        return foot_side(series, opt.offset_range, window), ""
+    except CalibrationError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float, seed: int,
+             side: FootSide, clean: np.ndarray):
+    """One matrix cell on plain arrays, against its trajectory's foot side and its foot's noiseless
+    IMU stream: (ReportRow fields without wall time, r per lag of ``side.lags``)."""
+    truth = config.truths[foot]
+    noise_seed = _child_seed(config.optimizer.seed, 2, _foot_code(foot), _MOTION_CODE[motion],
+                             _density_code(density), seed)
+    imu = add_noise(clean, density, noise_seed, side.foot.uniform_dt())
+    time_offset, rs, _, sigma_if = scan_offset(side, side.foot.time_grid, imu)
+    rotation = project_rotation(side.sigma_ff, sigma_if.T)
+    degrees, geodesic, flagged = _rotation_error(rotation, truth.euler_deg, truth.rotation)
+    metrics = dict(cn=side.kappa, cc=float(np.nanmax(rs)), re_deg=degrees,
+                   td_error_ms=(time_offset - truth.time_offset) * 1e3,
+                   gimbal_flagged=flagged, geodesic_deg=geodesic)
+    return metrics, rs
 
 
 def _summarize(rows: list[ReportRow], motions, densities) -> list[SummaryRow]:
@@ -309,12 +311,13 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     Report files (rows.csv, summary.csv, summary.json and the offset scans)
     are deterministic for a fixed config; wall-clock timings go to a
     separate timing.csv so the reports stay byte-reproducible. Work
-    proceeds one trajectory (an a2i seed's, or a gait) at a time: it is
-    built and mapped to its foot series once, and all of its cells run
-    before the next. Rows are written per (foot, motion) block, in report
-    order: foot, motion, density, seed. A failed cell records its error
-    without aborting the matrix; a trajectory that fails to build (a
-    rejected a2i one) fails exactly its own cells.
+    proceeds one trajectory (an a2i seed's, or a gait) at a time: its foot
+    side (``calibrate.foot_side``), a gait's once for all feet, and each
+    foot's noiseless IMU stream on it are prepared once. Rows are written
+    per (foot, motion) block, in report order: foot, motion, density, seed.
+    A failed cell records its error without aborting the matrix; a
+    trajectory that fails to build (a rejected a2i one) or whose foot
+    window is below the excitation floor fails exactly its own cells.
 
     Each block's scans go to one file, ``scans/{foot}_{motion}.npy``: a
     float64 array of shape (1 + cells, 2n + 1). Row 0 is the block's lag
@@ -332,6 +335,7 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
     seeds = sorted(config.seeds)
     # each cell's place in its block, which is report order
     slots = {cell: i for i, cell in enumerate(product(densities, seeds))}
+    gaits = {}  # motion -> _prepare of its gait, for every foot
 
     rows: list[ReportRow] = []
     with fio.open_rows_writer(out / "rows.csv") as write_row, \
@@ -343,18 +347,16 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                 # the seeds whose cells run each trajectory: one per a2i seed, all for a gait
                 for group in ([[s] for s in seeds] if motion is Motion.A2I else [seeds]):
                     started = time.perf_counter()
-                    rejected = ""
-                    try:
-                        foot_series = trajectory_to_foot_velocity(
-                            build_trajectory(config, motion, foot, group[0]))
-                    except CalibrationError as exc:
-                        rejected = f"{type(exc).__name__}: {exc}"
+                    side, rejected = gaits.get(motion) or _prepare(config, motion, foot, group[0])
+                    if motion is not Motion.A2I:
+                        gaits[motion] = side, rejected
+                    clean = None if rejected else clean_stream(side.foot, config.truths[foot])
                     for density, seed in product(densities, group):
                         metrics, scan, error = _FAILED_METRICS, None, rejected
                         if not rejected:
                             try:
                                 metrics, scan = run_cell(config, foot, motion, density, seed,
-                                                         foot_series)
+                                                         side, clean)
                             except CalibrationError as exc:
                                 error = f"{type(exc).__name__}: {exc}"
                         slot = slots[density, seed]
@@ -364,8 +366,8 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                         if scan is not None:
                             if scans is None:
                                 scans = np.full((1 + len(slots), len(scan)), math.nan)
-                                scans[0] = scan[:, 0]
-                            scans[1 + slot] = scan[:, 1]
+                                scans[0] = side.lags * side.foot.uniform_dt()
+                            scans[1 + slot] = scan
                         started = time.perf_counter()
                 for row in block:
                     write_row(row)
@@ -381,13 +383,8 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    geo = config.geometry
     return {
-        "geometry": {
-            "hip_limits": list(geo.hip_limits),
-            "thigh_limits": list(geo.thigh_limits),
-            "calf_limits": list(geo.calf_limits),
-        },
+        "geometry": {name: list(getattr(config.geometry, name)) for name in sorted(_GEOMETRY_KEYS)},
         "truths": {
             foot: {"euler_deg": truth.euler_deg.tolist(),
                    "t_d_s": float(truth.time_offset)}
@@ -439,12 +436,8 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    import json
-
     Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path, output_dir=None) -> ExperimentConfig:
-    import json
-
     return config_from_dict(json.loads(Path(path).read_text()), output_dir=output_dir)

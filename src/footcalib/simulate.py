@@ -144,16 +144,23 @@ def simulate_imu(foot_series: AngularVelocitySeries, truth: GroundTruth,
     """
     if foot_series.frame is not Frame.FOOT_KINEMATIC:
         raise ValueError(f"expected a FootKinematic series, got {foot_series.frame}")
-    dt = foot_series.uniform_dt()
+    measured = add_noise(clean_stream(foot_series, truth), noise.density, noise.seed,
+                         foot_series.uniform_dt())
+    return AngularVelocitySeries(foot_series.time_grid, measured, Frame.FOOT_IMU)
+
+
+def clean_stream(foot_series: AngularVelocitySeries, truth: GroundTruth) -> np.ndarray:
+    """The noiseless samples of ``simulate_imu``: omega_I = R^T omega_F(t - t_d) per row."""
     t = foot_series.time_grid
-    shifted = resample(t, foot_series.samples, t - truth.time_offset)
-    # omega_I = R^T omega_F for each row
-    measured = shifted @ truth.rotation
-    if noise.density > 0:
-        rng = np.random.default_rng(noise.seed)
-        sigma = math.radians(noise.density) * math.sqrt(1.0 / dt)
-        measured = measured + rng.normal(0.0, sigma, measured.shape)
-    return AngularVelocitySeries(t, measured, Frame.FOOT_IMU)
+    return resample(t, foot_series.samples, t - truth.time_offset) @ truth.rotation
+
+
+def add_noise(clean: np.ndarray, density: float, seed: int, dt: float) -> np.ndarray:
+    """``clean`` plus the white noise of ``NoiseModel(density, seed)`` at sample spacing ``dt``."""
+    if density == 0:
+        return clean
+    rng = np.random.default_rng(seed)
+    return clean + rng.normal(0.0, math.radians(density) * math.sqrt(1.0 / dt), clean.shape)
 
 
 class GaitKind(Enum):
@@ -206,8 +213,4 @@ def baseline_gait(kind: GaitKind, sample_rate: float = 500.0) -> JointTrajectory
         angles.append(amp * np.sin(w * t + phase))
         rates.append(amp * w * np.cos(w * t + phase))
 
-    return JointTrajectory(
-        time_grid=t,
-        theta_hip=angles[0], theta_thigh=angles[1], theta_calf=angles[2],
-        dtheta_hip=rates[0], dtheta_thigh=rates[1], dtheta_calf=rates[2],
-    )
+    return JointTrajectory(t, *angles, *rates)  # hip, thigh, calf angles, then their rates

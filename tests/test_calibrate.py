@@ -34,11 +34,11 @@ from footcalib.calibrate import (
     _COLS,
     _cholesky,
     _fft_length,
-    _foot_side,
-    _paired_window,
     _singular,
     _usable,
+    foot_side,
     require_excited,
+    scan_offset,
 )
 from footcalib.kinematics import resample
 from conftest import brute_force_pair_covariance, solve_trace_correlation
@@ -72,6 +72,12 @@ def z_only_pair():
     samples[:, 2] = np.sin(2 * math.pi * t)
     return (AngularVelocitySeries(t, samples, Frame.FOOT_IMU),
             AngularVelocitySeries(t, samples, Frame.FOOT_KINEMATIC))
+
+
+def window_bounds(foot, offset_range, window_samples):
+    """The foot window [i0, i1) of a scan over ±``offset_range`` on ``window_samples``."""
+    side = foot_side(foot, offset_range, window_samples)
+    return side.i0, side.i1
 
 
 def shift(series, t_d):
@@ -329,7 +335,7 @@ class TestEstimateTimeOffset:
         estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1),
                                         window_samples=100)
 
-        i0, i1 = _paired_window(imu, foot_series, foot_series.uniform_dt(), 0.1, 100)
+        i0, i1 = window_bounds(foot_series, 0.1, 100)
         t = foot_series.time_grid[i0:i1]
         foot = AngularVelocitySeries(t, foot_series.samples[i0:i1], Frame.FOOT_KINEMATIC)
         lags = np.arange(-50, 51)
@@ -365,7 +371,7 @@ class TestEstimateTimeOffset:
         imu = simulate_imu(foot, truth, NoiseModel(0.006, seed=5))
         estimate = estimate_time_offset(imu, foot, OffsetSearch(0.1))
 
-        i0, i1 = _paired_window(imu, foot, foot.uniform_dt(), 0.1, None)
+        i0, i1 = window_bounds(foot, 0.1, None)
         t = foot.time_grid[i0:i1]
         foot_window = AngularVelocitySeries(t, foot.samples[i0:i1], Frame.FOOT_KINEMATIC)
         expected = []
@@ -393,7 +399,7 @@ def dot_product_scan(imu, foot, offset_range, window_samples):
     products of the slid IMU window with the foot window, r by two linear solves,
     and NaN where S_II(k) fails the ``require_excited`` floor."""
     dt = foot.uniform_dt()
-    i0, i1 = _paired_window(imu, foot, dt, offset_range, window_samples)
+    i0, i1 = window_bounds(foot, offset_range, window_samples)
     n = int(math.floor(offset_range / dt + 1e-9))
     f = foot.samples[i0:i1] - foot.samples[i0:i1].mean(axis=0)
     scale = 1.0 / (i1 - i0 - 1)
@@ -450,7 +456,7 @@ class TestFftScan:
         foot = make_foot()
         truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
         imu = simulate_imu(foot, truth, NoiseModel(0.006, seed=5))
-        i0, i1 = _paired_window(imu, foot, foot.uniform_dt(), offset_range, window)
+        i0, i1 = window_bounds(foot, offset_range, window)
         n = int(math.floor(offset_range * RATE + 1e-9))
         assert (i1 - i0 + 2 * n, _fft_length(i1 - i0 + 2 * n)) == (block, fft_length)
         estimate = estimate_time_offset(imu, foot, OffsetSearch(offset_range), window)
@@ -475,72 +481,36 @@ class TestFftScan:
             assert _fft_length(n) == smooth[np.searchsorted(smooth, n)], n
 
 
-class TestFootSideCache:
-    @staticmethod
-    def scan(imu, foot):
-        return estimate_time_offset(imu, foot, OffsetSearch(0.1), WINDOW)
+class TestFootSide:
+    def test_one_side_serves_every_stream(self, foot_series):
+        # one foot side, built once, scans each IMU stream exactly as
+        # estimate_time_offset does with a side of its own
+        side = foot_side(foot_series, 0.1, WINDOW)
+        for t_d, density, seed in ((0.016, 0.03, 3), (-0.042, 0.006, 4), (0.0, 0.0, 0)):
+            truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=t_d)
+            imu = simulate_imu(foot_series, truth, NoiseModel(density, seed=seed))
+            estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1), WINDOW)
+            time_offset, rs, _, sigma_if = scan_offset(side, imu.time_grid, imu.samples)
+            assert time_offset == estimate.time_offset
+            assert side.kappa == estimate.condition_number
+            np.testing.assert_array_equal(estimate.scan[:, 0], side.lags * foot_series.uniform_dt())
+            np.testing.assert_array_equal(estimate.scan[:, 1], rs)
+            np.testing.assert_array_equal(sigma_if, estimate.covariance.sigma_if)
+            np.testing.assert_array_equal(side.sigma_ff, estimate.covariance.sigma_ff)
 
-    @staticmethod
-    def assert_identical(a, b):
-        np.testing.assert_array_equal(a.scan, b.scan)
-        assert a.time_offset == b.time_offset and a.condition_number == b.condition_number
-        for name in ("sigma_ii", "sigma_ff", "sigma_if"):
-            np.testing.assert_array_equal(getattr(a.covariance, name),
-                                          getattr(b.covariance, name))
-
-    def test_warm_result_is_bit_identical_to_cold(self, foot_series):
-        truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=3))
-        _foot_side.cache_clear()
-        cold = self.scan(imu, foot_series)
-        warm = self.scan(imu, foot_series)
-        assert _foot_side.cache_info().hits == 1
-        self.assert_identical(cold, warm)
-        _foot_side.cache_clear()
-        self.assert_identical(cold, self.scan(imu, foot_series))
-
-    def test_keyed_on_window_content(self, foot_series):
-        # another foot series of the same shape, and the first one after an
-        # in-place change, each get an entry of their own, and each scans as
-        # it would with a cold cache
-        truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=3))
-        samples = foot_series.samples.copy()
-        first = AngularVelocitySeries(foot_series.time_grid, samples, Frame.FOOT_KINEMATIC)
-        other = AngularVelocitySeries(foot_series.time_grid, samples[::-1].copy(),
-                                      Frame.FOOT_KINEMATIC)
-        _foot_side.cache_clear()
-        before = self.scan(imu, first)
-        for foot in (other, first):
-            if foot is first:
-                samples[1000] += 0.5  # inside the scan's foot window
-            seen = self.scan(imu, foot)
-            assert not np.array_equal(seen.covariance.sigma_ff, before.covariance.sigma_ff)
-            _foot_side.cache_clear()
-            self.assert_identical(seen, self.scan(imu, foot))
-            assert _foot_side.cache_info().hits == 0
-        assert _foot_side.cache_info().currsize == 1
-
-    def test_window_below_the_floor_raises_on_every_call(self):
-        imu, foot = z_only_pair()
-        _foot_side.cache_clear()
-        for _ in range(2):
-            with pytest.raises(RankDeficiencyError):
-                estimate_time_offset(imu, foot, OffsetSearch(0.05))
-        assert _foot_side.cache_info().currsize == 0
-
-    def test_cached_arrays_are_read_only(self, foot_series):
-        truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=0.016)
-        imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=3))
-        estimate = self.scan(imu, foot_series)
+    def test_arrays_are_read_only(self, foot_series):
         # the one-period window in the middle, and 50 lags on either side of it
-        sigma_ff, _, spectrum = _foot_side(foot_series.samples[500:1500].tobytes(),
-                                           _fft_length(1100))
-        assert estimate.covariance.sigma_ff is sigma_ff
-        for array in (sigma_ff, spectrum):
+        side = foot_side(foot_series, 0.1, WINDOW)
+        assert (side.i0, side.i1, len(side.lags)) == (500, 1500, 101)
+        assert side.fft_length == _fft_length(1100)
+        arrays = [value for value in vars(side).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 3
+        for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+                array[(0,) * array.ndim] = 0.0
+        # the side holds its foot series as it was given
+        assert side.foot is foot_series and foot_series.samples.flags.writeable
 
 
 class TestEstimateRotation:

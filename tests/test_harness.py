@@ -4,6 +4,7 @@ import math
 import re
 import weakref
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.spatial.transform import Rotation
 
 from footcalib import (
     BasisSpec,
+    CalibrationError,
     ExperimentConfig,
     GaitKind,
     GroundTruth,
@@ -19,15 +21,25 @@ from footcalib import (
     OffsetSearch,
     OptimizerConfig,
     baseline_gait,
+    OffsetSearch,
+    calibrate,
     default_experiment_config,
     harness,
+    period_samples,
     rotation_error,
     run_matrix,
+    simulate_imu,
+    trajectory_to_foot_velocity,
 )
 from footcalib import io as fio
-from footcalib.calibrate import _foot_side
+from footcalib.calibrate import foot_side, project_rotation, scan_offset
+from footcalib.simulate import add_noise, clean_stream
 from footcalib.harness import (
     A2I_KAPPA_BAND,
+    _child_seed,
+    _density_code,
+    _foot_code,
+    _MOTION_CODE,
     calibration_geometry,
     config_from_dict,
     config_to_dict,
@@ -508,25 +520,100 @@ class TestRunMatrix:
         assert table.shape[0] == 1 + 6 == 1 + len(rows)
         assert [bool(np.isnan(r).all()) for r in table[1:]] == [bool(r["error"]) for r in rows]
         for seed in (1, 3):
-            series = harness.trajectory_to_foot_velocity(
-                harness.build_trajectory(config, Motion.A2I, "FR", seed))
+            side, _ = harness._prepare(config, Motion.A2I, "FR", seed)
+            clean = clean_stream(side.foot, config.truths["FR"])
             for density in (0.006, 0.03):
-                scan = harness.run_cell(config, "FR", Motion.A2I, density, seed, series)[1]
+                rs = harness.run_cell(config, "FR", Motion.A2I, density, seed, side, clean)[1]
                 i = [(r["noise_density"], int(r["seed"])) for r in rows].index((density, seed))
-                assert table[0].tobytes() == scan[:, 0].tobytes()
-                assert table[1 + i].tobytes() == scan[:, 1].tobytes()
+                assert table[0].tobytes() == (side.lags * side.foot.uniform_dt()).tobytes()
+                assert table[1 + i].tobytes() == rs.tobytes()
 
-    def test_a2i_foot_side_shared_by_densities_at_any_seed_count(self, tmp_path):
-        # each a2i window is scanned at three densities; with 25 seeds a
-        # foot has more windows than the foot-side cache holds
-        config = default_experiment_config(tmp_path / "many", motions=(Motion.A2I,),
+    def test_foot_side_built_once_per_trajectory(self, tmp_path, monkeypatch):
+        # each a2i trajectory's side serves its three densities, and a gait's
+        # serves every foot and seed, whatever the seed count
+        built = []
+
+        def counted_foot_side(*args):
+            built.append(foot_side(*args))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "foot_side", counted_foot_side)
+        config = default_experiment_config(tmp_path / "many", motions=(Motion.A2I, Motion.WALK),
                                            seeds=tuple(range(25)))
-        config = replace(config, truths={"FL": config.truths["FL"]})
-        _foot_side.cache_clear()
+        config = replace(config, truths={f: config.truths[f] for f in ("FL", "RR")})
         rows = run_matrix(config).rows
-        assert len(rows) == 75 and not any(r.error for r in rows)
-        info = _foot_side.cache_info()
-        assert (info.hits, info.misses) == (50, 25)
+        assert len(rows) == 300 and not any(r.error for r in rows)
+        assert len(built) == 2 * 25 + 1
+
+    def test_gaits_built_once_per_run(self, tmp_path, monkeypatch):
+        kinds = []
+
+        def counted_gait(kind, sample_rate):
+            kinds.append(kind)
+            return baseline_gait(kind, sample_rate)
+
+        monkeypatch.setattr(harness, "baseline_gait", counted_gait)
+        config = small_config(tmp_path / "gaits", motions=(Motion.WALK, Motion.SPIN, Motion.WAVE))
+        rows = run_matrix(config).rows
+        assert len(rows) == 12 and not any(r.error for r in rows)
+        assert sorted(kind.value for kind in kinds) == ["spin", "walk", "wave"]
+
+    @pytest.mark.parametrize("motion", list(Motion), ids=lambda m: m.value)
+    def test_cell_core_matches_public_path(self, motion):
+        # a cell on plain arrays gives what simulate_imu, calibrate and
+        # rotation_error give on the same trajectory, bit for bit
+        config = default_experiment_config("unused", seeds=(0, 5))
+        opt = config.optimizer
+        window = period_samples(opt.period, opt.imu_frequency) if motion is Motion.A2I else None
+        for foot, seed in product(("FL", "RR"), config.seeds):
+            truth = config.truths[foot]
+            series = trajectory_to_foot_velocity(harness.build_trajectory(config, motion, foot,
+                                                                          seed))
+            side, dt = foot_side(series, opt.offset_range, window), series.uniform_dt()
+            clean = clean_stream(series, truth)
+            for density in config.noise_densities:
+                noise_seed = _child_seed(opt.seed, 2, _foot_code(foot), _MOTION_CODE[motion],
+                                         _density_code(density), seed)
+                result = calibrate(simulate_imu(series, truth, NoiseModel(density, noise_seed)),
+                                   series, OffsetSearch(opt.offset_range), window)
+                err = rotation_error(result.rotation, truth.euler_deg)
+                time_offset, rs, _, sigma_if = scan_offset(
+                    side, series.time_grid, add_noise(clean, density, noise_seed, dt))
+                assert time_offset == result.time_offset
+                assert (side.lags * dt).tobytes() == result.scan[:, 0].tobytes()
+                assert rs.tobytes() == result.scan[:, 1].tobytes()
+                rotation = project_rotation(side.sigma_ff, sigma_if.T)
+                assert rotation.tobytes() == result.rotation.tobytes()
+                metrics, cell_rs = harness.run_cell(config, foot, motion, density, seed, side,
+                                                    clean)
+                assert cell_rs.tobytes() == rs.tobytes()
+                assert metrics == dict(cn=result.condition_number, cc=result.correlation,
+                                       re_deg=err.degrees,
+                                       td_error_ms=(result.time_offset - truth.time_offset) * 1e3,
+                                       gimbal_flagged=err.gimbal_flagged,
+                                       geodesic_deg=err.geodesic_degrees)
+
+    def test_window_below_the_floor_fails_each_cell_with_the_calibrate_error(
+            self, tmp_path, monkeypatch):
+        # a walk without hip motion excites the z axis alone, so its foot
+        # side raises once, and each of its cells reports what calibrate
+        # raises on that trajectory
+        def hipless(kind, sample_rate):
+            gait = baseline_gait(kind, sample_rate)
+            return replace(gait, dtheta_hip=np.zeros_like(gait.dtheta_hip))
+
+        monkeypatch.setattr(harness, "baseline_gait", hipless)
+        config = small_config(tmp_path / "floor", motions=(Motion.WALK,), densities=(0.006, 0.03))
+        rows = run_matrix(config).rows
+        series = trajectory_to_foot_velocity(hipless(GaitKind.WALK, config.optimizer.imu_frequency))
+        assert len(rows) == 8
+        for row in rows:
+            imu = simulate_imu(series, config.truths[row.foot], NoiseModel(row.noise_density))
+            with pytest.raises(CalibrationError) as excinfo:
+                calibrate(imu, series, OffsetSearch(config.optimizer.offset_range))
+            assert row.error == f"{type(excinfo.value).__name__}: {excinfo.value}"
+            assert row.error.startswith("RankDeficiencyError: sigma_ff has 2 vanishing")
+        assert not list((config.output_dir / "scans").iterdir())
 
     def test_one_foot_series_alive_per_cell(self, tmp_path, monkeypatch):
         # each trajectory's foot series is released once the next replaces

@@ -29,7 +29,7 @@ from footcalib import (
     simulate_imu,
     trajectory_to_foot_velocity,
 )
-from footcalib.calibrate import _paired_window
+from footcalib.calibrate import foot_side
 from footcalib.harness import _child_seed
 from footcalib.optimizer import sample_covariance
 
@@ -63,9 +63,8 @@ def test_rotation_error_at_noise_floor(fl_a2i_series, index, density):
     errors = np.array(errors)
     td_errors = np.array(td_errors)
 
-    i0, i1 = _paired_window(fl_a2i_series, fl_a2i_series, 1 / RATE,
-                            search.offset_range, WINDOW)
-    window = fl_a2i_series.samples[i0:i1]
+    side = foot_side(fl_a2i_series, search.offset_range, WINDOW)
+    window = fl_a2i_series.samples[side.i0:side.i1]
     s = np.diag(sample_covariance(window))
     sigma = math.radians(density) * math.sqrt(RATE)
     predicted = np.sqrt(sigma ** 2 / (4 * (WINDOW - 1))
