@@ -1,22 +1,16 @@
 """Spatial-temporal calibration of a foot IMU against leg kinematics.
 
-The time offset is found by sliding the IMU stream over the kinematic
-foot-end series one sample at a time, scoring each integer lag by the
-trace correlation, and refining the best lag to a fraction of a sample
-with a parabola through its two neighbours. Every lag is scored in one
-pass. The cross-covariances of all lags are one generalized
-cross-correlation (Knapp & Carter, 1976): the real FFT of the IMU block
-times the conjugate spectrum of the foot window, transformed back. The
-IMU auto-covariances come from windowed prefix sums. Each lag is then
-scored in closed form by whitening: three times the squared trace
-correlation is the squared Frobenius norm of the cross-covariance
-whitened on both sides by Cholesky factors. The foot side of the scan
-depends only on the foot series: ``foot_side`` computes it once, and
-``scan_offset`` scans any IMU stream against it. A determinant screen
-clears most lags of the singular-value floor, so only the doubtful ones
-reach an eigensolver.
-The extrinsic rotation then comes from an SVD-projected product of the
-covariance matrices at the refined offset.
+The time offset maximizes the trace correlation over the integer sample
+lags; a parabola through the best lag and its two neighbours refines it
+to a fraction of a sample. One pass scores every lag (``_lag_correlations``):
+the cross-covariances of all lags are one generalized cross-correlation
+(Knapp & Carter, 1976), and each lag is scored in closed form by Cholesky
+whitening. ``foot_side`` computes the foot side of the scan once per foot
+series, and ``scan_offset`` scans any IMU stream against it. The extrinsic
+rotation is the SVD projection of S_FF^-1 S_FI at the refined offset, with
+the scan's own S_IF: linear interpolation is linear in the IMU samples and
+the foot window is centred, so at a fraction f past lag k
+S_IF(k + f) = (1 - f) S_IF(k) + f S_IF(k + 1), and no window is resampled.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, RankDeficiencyError
-from .kinematics import AngularVelocitySeries, Frame, resample
+from .kinematics import AngularVelocitySeries, Frame
 from .optimizer import _kappa, column_means, sample_covariance
 
 _AXES = ("x", "y", "z")
@@ -198,13 +192,15 @@ class OffsetSearch:
 
 @dataclass(frozen=True)
 class OffsetEstimate:
-    """Refined offset of ``estimate_time_offset`` and the scan behind it; the
-    scan holds a finite r, or the estimate raises instead."""
+    """Refined offset of ``estimate_time_offset``, its scan (a finite r, or it raises instead) and the
+    window's covariances there: S_IF(k + f) = (1 - f) S_IF(k) + f S_IF(k + 1), as interpolated."""
 
     time_offset: float
     scan: np.ndarray  # rows of (integer-lag offset, trace correlation); NaN r marks failures
-    covariance: CovarianceSet  # of the pair on the scan window, IMU resampled at time_offset
-    condition_number: float  # of covariance.sigma_ff, whose array is read-only
+    sigma_ff: np.ndarray  # read-only
+    sigma_if: np.ndarray
+    condition_number: float  # of sigma_ff
+    sigma_fi = CovarianceSet.sigma_fi
 
     @property
     def correlation(self) -> float:
@@ -227,15 +223,15 @@ def _fft_length(n: int) -> int:
 
 @dataclass(frozen=True)
 class FootSide:
-    """The part of the offset scan that depends only on the foot series; the arrays it adds are
-    read-only."""
+    """The part of the offset scan that depends only on the foot series; its arrays are read-only."""
 
     foot: AngularVelocitySeries
     i0: int                # the foot window [i0, i1) of W samples; the scan reads the IMU
     i1: int                # block [i0 - n, i1 + n)
     lags: np.ndarray       # the integer lags -n .. n
     fft_length: int        # of the scan's real FFT, at least W + 2n
-    sigma_ff: np.ndarray
+    sigma_ff: np.ndarray   # L_F L_F^T
+    cholesky_t: np.ndarray  # L_F^T, which turns a whitened cross-covariance back into S_IF
     kappa: float           # the condition number of sigma_ff
     spectrum: np.ndarray   # conjugate spectrum of the centred window whitened by L_F^-1, over W - 1
 
@@ -262,21 +258,21 @@ def foot_side(foot: AngularVelocitySeries, offset_range: float,
                              f"of {i1 - i0}")
         i0 += (i1 - i0 - window_samples) // 2
         i1 = i0 + window_samples
-    # BLAS sums the strided columns of a table read from text in another order: S_FF
-    # and the spectrum are taken on a contiguous copy, S_IF (``scan_offset``) on the window
-    window = np.ascontiguousarray(foot.samples[i0:i1])
+    window = foot.samples[i0:i1]
     sigma_ff = sample_covariance(window)
     require_excited(sigma_ff, "sigma_ff")
-    whitened = np.linalg.inv(np.linalg.cholesky(sigma_ff)) @ (window - column_means(window)).T
+    cholesky = np.linalg.cholesky(sigma_ff)
+    whitened = np.linalg.inv(cholesky) @ (window - column_means(window)).T
     fft_length = _fft_length(i1 - i0 + 2 * n)
-    side = FootSide(foot, i0, i1, np.arange(-n, n + 1), fft_length, sigma_ff, _kappa(sigma_ff),
-                    np.conj(np.fft.rfft(whitened, fft_length)) / (i1 - i0 - 1))
-    side.lags.flags.writeable = sigma_ff.flags.writeable = side.spectrum.flags.writeable = False
+    side = FootSide(foot, i0, i1, np.arange(-n, n + 1), fft_length, sigma_ff, cholesky.T,
+                    _kappa(sigma_ff), np.conj(np.fft.rfft(whitened, fft_length)) / (i1 - i0 - 1))
+    for array in (side.lags, sigma_ff, side.cholesky_t, side.spectrum):
+        array.flags.writeable = False
     return side
 
 
-def _lag_correlations(imu_samples: np.ndarray, side: FootSide) -> np.ndarray:
-    """Trace correlation of the IMU slice ``[i0 + k, i1 + k)`` with the foot window per lag k.
+def _lag_correlations(imu_samples: np.ndarray, side: FootSide) -> tuple[np.ndarray, np.ndarray]:
+    """Per lag k, r of the IMU slice ``[i0 + k, i1 + k)`` with the foot window, and S_IF(k) L_F^-T.
 
     All 2n+1 lags are scored in one pass over the IMU block
     ``[i0 - n, i1 + n)``, centred once on its own mean so that the windowed
@@ -328,7 +324,7 @@ def _lag_correlations(imu_samples: np.ndarray, side: FootSide) -> np.ndarray:
     steps[3:, 1:] = entering[_ROWS] * entering[_COLS] - leaving[_ROWS] * leaving[_COLS]
     sums = np.cumsum(steps, axis=1)
     upper_ii = (sums[3:] - sums[_ROWS] * sums[_COLS] / width) / (width - 1)
-    return _trace_correlations(upper_ii, whitened_if)
+    return _trace_correlations(upper_ii, whitened_if), whitened_if
 
 
 def _parabolic_peak(rs: np.ndarray, best: int) -> float:
@@ -347,19 +343,24 @@ def _parabolic_peak(rs: np.ndarray, best: int) -> float:
     return float((r_minus - r_plus) / (2.0 * curvature))
 
 
-def scan_offset(side: FootSide, imu_time: np.ndarray,
-                imu_samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """``estimate_time_offset`` on IMU samples on the grid of ``side.foot``: the refined offset, r
-    per lag of ``side.lags``, the IMU window resampled at that offset and its S_IF."""
-    rs = _lag_correlations(imu_samples, side)
+def scan_offset(side: FootSide, imu_samples: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``estimate_time_offset`` on IMU samples on the grid of ``side.foot``: the refined offset, r per
+    lag of ``side.lags``, and S_IF there. With k the floor of the refined lag (the parabola's shift
+    can be negative) and 0 <= f < 1 the rest, the IMU window interpolated there is (1 - f) times its
+    slice at k plus f times that at k + 1, and the foot window is centred, so S_IF(k + f) =
+    (1 - f) S_IF(k) + f S_IF(k + 1) exactly: the scan's own, times L_F^T."""
+    rs, whitened_if = _lag_correlations(imu_samples, side)
     if np.isnan(rs).all():
         raise IllConditionedError("every offset candidate failed; the pair carries no usable excitation")
     ties = np.flatnonzero(rs == np.nanmax(rs))
     best = int(ties[np.argmin(np.abs(side.lags[ties]))])
-    foot, i0, i1 = side.foot, side.i0, side.i1
-    time_offset = float((side.lags[best] + _parabolic_peak(rs, best)) * foot.uniform_dt())
-    shifted = resample(imu_time, imu_samples, foot.time_grid[i0:i1] + time_offset)
-    return time_offset, rs, shifted, sample_covariance(shifted, foot.samples[i0:i1])
+    fraction = _parabolic_peak(rs, best)
+    time_offset = float((side.lags[best] + fraction) * side.foot.uniform_dt())
+    k, f = best + math.floor(fraction), fraction - math.floor(fraction)
+    whitened = whitened_if[:, :, k]
+    if f:  # else lag k alone: a scan edge, a NaN neighbour or a single lag leave f = 0
+        whitened = (1.0 - f) * whitened + f * whitened_if[:, :, k + 1]
+    return time_offset, rs, whitened @ side.cholesky_t
 
 
 def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
@@ -372,15 +373,14 @@ def estimate_time_offset(imu: AngularVelocitySeries, foot: AngularVelocitySeries
     candidate interpolates the noisy IMU stream. The best lag (ties going
     to the smallest |k|) is refined by the vertex of the parabola through
     it and its two neighbours; at a scan edge it is kept as it is. The
-    scan holds the integer-lag rows only, and the covariance set comes
-    from the IMU window resampled once, at the refined offset.
+    scan holds the integer-lag rows only, and S_IF at the refined offset
+    interpolates the scan's cross-covariances of the two lags around it.
     """
     _require_aligned(imu, foot)
     side, dt = foot_side(foot, search.offset_range, window_samples), foot.uniform_dt()
-    time_offset, rs, shifted, sigma_if = scan_offset(side, imu.time_grid, imu.samples)
-    covariance = CovarianceSet(sample_covariance(shifted), side.sigma_ff, sigma_if)
-    return OffsetEstimate(time_offset, np.column_stack([side.lags * dt, rs]), covariance,
-                          side.kappa)
+    time_offset, rs, sigma_if = scan_offset(side, imu.samples)
+    return OffsetEstimate(time_offset, np.column_stack([side.lags * dt, rs]), side.sigma_ff,
+                          sigma_if, side.kappa)
 
 
 def project_rotation(sigma_ff: np.ndarray, sigma_fi: np.ndarray) -> np.ndarray:
@@ -389,8 +389,8 @@ def project_rotation(sigma_ff: np.ndarray, sigma_fi: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))]) @ vt
 
 
-def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
-    """Extrinsic rotation from the covariance set of an aligned pair.
+def estimate_rotation(cov: CovarianceSet | OffsetEstimate) -> np.ndarray:
+    """Extrinsic rotation from the S_FF and S_FI of an aligned pair.
 
     Projects the unconstrained least-squares map S_FF^-1 S_FI onto the
     special orthogonal group through its SVD. For noiseless
@@ -409,7 +409,7 @@ def estimate_rotation(cov: CovarianceSet) -> np.ndarray:
 @dataclass(frozen=True)
 class CalibrationResult(OffsetEstimate):
     """An offset estimate and the extrinsic rotation ``estimate_rotation``
-    gives at its covariance set; built by ``calibrate``."""
+    gives at its covariances; built by ``calibrate``."""
 
     rotation: np.ndarray
 
@@ -421,7 +421,7 @@ def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
 
     Runs the offset scan of ``estimate_time_offset`` over ``search`` on the
     analysis window of ``window_samples`` (None: the full valid span), and
-    estimates the extrinsic rotation from the covariance set at the refined
+    estimates the extrinsic rotation from the covariances at the refined
     offset on that window. A foot motion that leaves two axes unexcited
     raises RankDeficiencyError naming the weakest one.
     """
@@ -430,4 +430,4 @@ def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
             f"expected (FootIMU, FootKinematic) series, got ({imu.frame}, {foot.frame})"
         )
     estimate = estimate_time_offset(imu, foot, search, window_samples=window_samples)
-    return CalibrationResult(**vars(estimate), rotation=estimate_rotation(estimate.covariance))
+    return CalibrationResult(**vars(estimate), rotation=estimate_rotation(estimate))

@@ -285,7 +285,7 @@ def run_cell(config: ExperimentConfig, foot: str, motion: Motion, density: float
     noise_seed = _child_seed(config.optimizer.seed, 2, _foot_code(foot), _MOTION_CODE[motion],
                              _density_code(density), seed)
     imu = add_noise(clean, density, noise_seed, side.foot.uniform_dt())
-    time_offset, rs, _, sigma_if = scan_offset(side, side.foot.time_grid, imu)
+    time_offset, rs, sigma_if = scan_offset(side, imu)
     rotation = project_rotation(side.sigma_ff, sigma_if.T)
     degrees, geodesic, flagged = _rotation_error(rotation, truth.euler_deg, truth.rotation)
     metrics = dict(cn=side.kappa, cc=float(np.nanmax(rs)), re_deg=degrees,

@@ -139,7 +139,7 @@ class AngularVelocitySeries:
 
     def __post_init__(self):
         t = np.asarray(self.time_grid, dtype=float)
-        w = np.asarray(self.samples, dtype=float)
+        w = np.ascontiguousarray(self.samples, dtype=float)  # a parsed table sums like one in memory
         if t.ndim != 1:
             raise ValueError("time_grid must be one-dimensional")
         if w.ndim != 2 or w.shape[1] != 3:

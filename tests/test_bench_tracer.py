@@ -2,15 +2,19 @@
 
 ``bench/tracing.py`` wraps package functions by module attribute name. A
 refactor that renames or drops one of them would make the traced
-benchmark fail; this test makes the suite fail instead.
+benchmark fail; this test makes the suite fail instead. A refactor that
+keeps a name but stops calling it, or changes the signature a hook reads,
+fails the traced CLI round trip below.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from footcalib import BasisSpec, OptimizerConfig, calibration_geometry
+from footcalib import BasisSpec, OptimizerConfig, calibration_geometry, cli, eval_basis
+from footcalib import io as fio
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +54,29 @@ def test_install_patches_and_uninstall_restores_every_site(tracing):
         tracer.uninstall()
     for (module, attr), original in zip(sites, originals):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_cli_round_trip_reaches_every_calibration_span(tracing, tmp_path, capsys):
+    # the spans that the benchmark's cli-roundtrip workload reports on each
+    # record a call, and the estimate_time_offset hook, which reads that
+    # function's positional (imu, foot, search, window_samples), counts lags
+    spec = BasisSpec([1.2, 0.8, 5.3], [3.7, 0.4, 0.3], 2.0)
+    fio.write_trajectory(tmp_path / "trajectory.csv", eval_basis(spec, np.arange(2001) / 500.0))
+    out = str(tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["simulate", "--trajectory", str(tmp_path / "trajectory.csv"),
+                         "--euler=30,45,60", "--t-d", "0.02", "--noise", "0.006",
+                         "--out", out]) == 0
+        assert cli.main(["calibrate", "--imu", str(tmp_path / "imu_measurements.csv"),
+                         "--foot", str(tmp_path / "foot_kinematic.csv"), "--t-r", "0.1",
+                         "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+    table = tracer.span_table()
+    silent = [name for name in ("calibrate.calibrate", "calibrate.estimate_time_offset",
+                                "calibrate.estimate_rotation", "simulate.simulate_imu",
+                                "io.read_measurements") if not table[name]["calls"] > 0]
+    assert not silent
+    assert tracer.counts["calibrate.candidates"] > 0

@@ -8,7 +8,6 @@ from footcalib import (
     AngularVelocitySeries,
     BasisSpec,
     CalibrationResult,
-    CovarianceSet,
     Frame,
     GaitKind,
     GroundTruth,
@@ -319,14 +318,15 @@ class TestEstimateTimeOffset:
         # every scan value is trace_correlation(covariance_set(...)) of the
         # IMU window slid by that integer lag, to a relative 1e-10 (the
         # one-pass scan sums in another order than the per-lag covariances),
-        # with NaN at exactly the same lags, and the estimate carries the
-        # covariance set of the IMU window resampled at the estimated offset,
-        # bit for bit. With the IMU x axis held constant over its first 1001
-        # samples, the lags whose IMU window lies inside that stretch have a
-        # singular auto-covariance and score NaN. A nonzero constant survives
-        # centring, so only exact cancellation in the running sums of the
-        # scan finds those lags singular; under a DC level of 1e3 on every
-        # axis that holds only if the sums start from centred samples.
+        # with NaN at exactly the same lags, and the estimate's S_IF is that
+        # of the IMU window resampled at the estimated offset, to a relative
+        # 1e-12 (it interpolates the scan's own). With the IMU x axis held
+        # constant over its first 1001 samples, the lags whose IMU window
+        # lies inside that stretch have a singular auto-covariance and score
+        # NaN. A nonzero constant survives centring, so only exact
+        # cancellation in the running sums of the scan finds those lags
+        # singular; under a DC level of 1e3 on every axis that holds only if
+        # the sums start from centred samples.
         truth = GroundTruth.from_euler_deg(12.0, -40.0, 70.0, time_offset=0.03)
         imu = simulate_imu(foot_series, truth, NoiseModel(0.03, seed=17))
         samples = imu.samples + level
@@ -355,9 +355,44 @@ class TestEstimateTimeOffset:
         shifted = AngularVelocitySeries(
             t, resample(imu.time_grid, imu.samples, t + estimate.time_offset), Frame.FOOT_IMU)
         refined = covariance_set(shifted, foot)
-        for name in ("sigma_ii", "sigma_ff", "sigma_if", "sigma_fi"):
-            np.testing.assert_array_equal(getattr(estimate.covariance, name),
-                                          getattr(refined, name))
+        np.testing.assert_array_equal(estimate.sigma_ff, refined.sigma_ff)
+        assert_relative_max_norm(estimate.sigma_if, refined.sigma_if, 1e-12)
+        assert np.array_equal(estimate.sigma_fi, estimate.sigma_if.T)
+
+    @pytest.mark.parametrize("t_d, offset_range, window, sign", [
+        pytest.param(0.0065, 0.1, WINDOW, 1.0, id="positive-fraction"),
+        pytest.param(-0.0065, 0.1, WINDOW, -1.0, id="negative-fraction"),
+        pytest.param(0.02, 0.02, WINDOW, 0.0, id="scan-edge"),
+        pytest.param(0.0, 0.0, None, 0.0, id="one-lag"),
+    ])
+    def test_cross_covariance_interpolates_the_bracketing_lags(self, foot_series, t_d,
+                                                               offset_range, window, sign):
+        # S_IF at the refined lag x is (1 - f) S_IF(k) + f S_IF(k + 1) with
+        # k = floor(x) and f = x - k: a peak refined downwards takes the lag
+        # below it, and an unrefined peak (a scan edge, or the only lag) its
+        # own lag alone. Either way it is the S_IF of the IMU window
+        # resampled there. ``sign`` is that of the peak's refinement
+        truth = GroundTruth.from_euler_deg(10.0, 20.0, 30.0, time_offset=t_d)
+        imu = simulate_imu(foot_series, truth, NoiseModel(0.01, seed=4))
+        estimate = estimate_time_offset(imu, foot_series, OffsetSearch(offset_range), window)
+        dt = foot_series.uniform_dt()
+        lag = estimate.time_offset / dt
+        refinement = lag - estimate.scan[np.nanargmax(estimate.scan[:, 1]), 0] / dt
+        assert np.sign(refinement) == sign and abs(refinement) < 0.5
+
+        i0, i1 = window_bounds(foot_series, offset_range, window)
+        t = foot_series.time_grid[i0:i1]
+        shifted = resample(imu.time_grid, imu.samples, t + estimate.time_offset)
+        oracle = covariance_set(AngularVelocitySeries(t, shifted, Frame.FOOT_IMU),
+                                AngularVelocitySeries(t, foot_series.samples[i0:i1],
+                                                      Frame.FOOT_KINEMATIC))
+        assert_relative_max_norm(estimate.sigma_if, oracle.sigma_if, 1e-12)
+        if sign == 0.0:
+            k = int(round(lag))
+            assert lag == k
+            slid = brute_force_pair_covariance(imu.samples[i0 + k:i1 + k],
+                                               foot_series.samples[i0:i1])
+            assert_relative_max_norm(estimate.sigma_if, slid, 1e-12)
 
     @pytest.mark.parametrize("kind", [GaitKind.WALK, GaitKind.SPIN, GaitKind.WAVE],
                              ids=["walk", "spin", "wave"])
@@ -392,6 +427,11 @@ class TestEstimateTimeOffset:
         with pytest.raises(ValueError):
             estimate_time_offset(foot_series, foot_series,
                                  OffsetSearch(offset_range=foot_series.span / 2))
+
+
+def assert_relative_max_norm(actual, expected, rtol):
+    """``actual`` within ``rtol`` of the largest entry of ``expected``, entry by entry."""
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=rtol * np.abs(expected).max())
 
 
 def dot_product_scan(imu, foot, offset_range, window_samples):
@@ -490,13 +530,13 @@ class TestFootSide:
             truth = GroundTruth.from_euler_deg(5.0, -15.0, 40.0, time_offset=t_d)
             imu = simulate_imu(foot_series, truth, NoiseModel(density, seed=seed))
             estimate = estimate_time_offset(imu, foot_series, OffsetSearch(0.1), WINDOW)
-            time_offset, rs, _, sigma_if = scan_offset(side, imu.time_grid, imu.samples)
+            time_offset, rs, sigma_if = scan_offset(side, imu.samples)
             assert time_offset == estimate.time_offset
             assert side.kappa == estimate.condition_number
             np.testing.assert_array_equal(estimate.scan[:, 0], side.lags * foot_series.uniform_dt())
             np.testing.assert_array_equal(estimate.scan[:, 1], rs)
-            np.testing.assert_array_equal(sigma_if, estimate.covariance.sigma_if)
-            np.testing.assert_array_equal(side.sigma_ff, estimate.covariance.sigma_ff)
+            np.testing.assert_array_equal(sigma_if, estimate.sigma_if)
+            np.testing.assert_array_equal(side.sigma_ff, estimate.sigma_ff)
 
     def test_arrays_are_read_only(self, foot_series):
         # the one-period window in the middle, and 50 lags on either side of it
@@ -504,7 +544,8 @@ class TestFootSide:
         assert (side.i0, side.i1, len(side.lags)) == (500, 1500, 101)
         assert side.fft_length == _fft_length(1100)
         arrays = [value for value in vars(side).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 3
+        assert len(arrays) == 4
+        np.testing.assert_array_equal(side.cholesky_t, np.linalg.cholesky(side.sigma_ff).T)
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -625,8 +666,7 @@ class TestCalibrate:
         # failed lags are NaN in the scan and do not count
         scan = np.array([[-0.002, np.nan], [0.0, 0.4], [0.002, 0.6]])
         eye = np.eye(3)
-        result = CalibrationResult(time_offset=0.002, scan=scan,
-                                   covariance=CovarianceSet(eye, eye, eye),
+        result = CalibrationResult(time_offset=0.002, scan=scan, sigma_ff=eye, sigma_if=eye,
                                    condition_number=1.0, rotation=eye)
         assert result.correlation == 0.6
 

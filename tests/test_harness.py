@@ -577,8 +577,8 @@ class TestRunMatrix:
                 result = calibrate(simulate_imu(series, truth, NoiseModel(density, noise_seed)),
                                    series, OffsetSearch(opt.offset_range), window)
                 err = rotation_error(result.rotation, truth.euler_deg)
-                time_offset, rs, _, sigma_if = scan_offset(
-                    side, series.time_grid, add_noise(clean, density, noise_seed, dt))
+                time_offset, rs, sigma_if = scan_offset(side, add_noise(clean, density,
+                                                                       noise_seed, dt))
                 assert time_offset == result.time_offset
                 assert (side.lags * dt).tobytes() == result.scan[:, 0].tobytes()
                 assert rs.tobytes() == result.scan[:, 1].tobytes()

@@ -6,12 +6,18 @@ import pytest
 
 from footcalib import (
     AngularVelocitySeries,
+    BasisSpec,
     Frame,
     GroundTruth,
+    NoiseModel,
+    OffsetSearch,
     OptimizerConfig,
+    calibrate,
     calibration_geometry,
     initial_basis_spec,
     optimize,
+    simulate_imu,
+    trajectory_to_foot_velocity,
 )
 from footcalib import io as fio
 from footcalib.optimizer import eval_basis
@@ -70,6 +76,25 @@ class TestMeasurementDump:
         path.write_text(fio.MEASUREMENT_HEADER + "\n0,1,2,3,FootIMU\n0.002,1,2,3,FootKinematic\n")
         with pytest.raises(ValueError):
             fio.read_measurements(path)
+
+    def test_read_back_dumps_calibrate_like_the_series_in_memory(self, tmp_path):
+        # the samples of a parsed table are columns of a wider one; a series
+        # stores them contiguously, so BLAS sums them in the order it sums
+        # the series held in memory, and calibration reproduces bit for bit
+        spec = BasisSpec(hip_rate_coeffs=[1.2, 0.8, 5.3], pitch_rate_coeffs=[3.7, 0.4, 0.3],
+                         period=2.0)
+        foot = trajectory_to_foot_velocity(eval_basis(spec, np.arange(2001) / 500.0))
+        truth = GroundTruth.from_euler_deg(30.0, 45.0, 60.0, time_offset=0.02)
+        imu = simulate_imu(foot, truth, NoiseModel(0.006, seed=3))
+        fio.write_measurements(tmp_path / "foot.csv", foot)
+        fio.write_measurements(tmp_path / "imu.csv", imu)
+        read_back = [fio.read_measurements(tmp_path / name) for name in ("imu.csv", "foot.csv")]
+        assert all(series.samples.flags.c_contiguous for series in read_back)
+        expected = calibrate(imu, foot, OffsetSearch(0.1))
+        result = calibrate(*read_back, OffsetSearch(0.1))
+        assert result.scan.tobytes() == expected.scan.tobytes()
+        assert result.time_offset == expected.time_offset
+        assert result.rotation.tobytes() == expected.rotation.tobytes()
 
 
 MEASUREMENT_ROWS = ["0,1,2,3,FootIMU", "0.002,1,2,3,FootIMU", "0.004,1,2,3,FootIMU"]
