@@ -26,7 +26,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    Motion,
     ReportRow,
     RotationError,
     SummaryRow,
@@ -56,8 +55,8 @@ from .optimizer import (
     trajectory_loss,
 )
 from .simulate import (
-    GaitKind,
     GroundTruth,
+    Motion,
     NoiseModel,
     baseline_gait,
     random_ground_truth,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IllConditionedError, RankDeficiencyError
 from .kinematics import AngularVelocitySeries, Frame
-from .optimizer import _kappa, column_means, sample_covariance
+from .optimizer import OptimizerConfig, _kappa, column_means, sample_covariance
 
 _AXES = ("x", "y", "z")
 # the six distinct entries of a symmetric 3x3 matrix, in the order 00 01 02 11 12 22
@@ -415,7 +415,7 @@ class CalibrationResult(OffsetEstimate):
 
 
 def calibrate(imu: AngularVelocitySeries, foot: AngularVelocitySeries,
-              search: OffsetSearch = OffsetSearch(0.25),
+              search: OffsetSearch = OffsetSearch(OptimizerConfig.offset_range),
               window_samples: int | None = None) -> CalibrationResult:
     """Full spatial-temporal calibration of an IMU/foot series pair.
 

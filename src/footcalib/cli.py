@@ -50,15 +50,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="footcalib", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = OptimizerConfig()
 
     p = sub.add_parser("optimize", help="generate an optimized calibration trajectory")
     _add_common(p)
-    p.add_argument("--t-r", type=float, default=0.25, help="sensor time-offset range [s]")
-    p.add_argument("--imu-freq", type=float, default=500.0, help="IMU sample rate [Hz]")
+    p.add_argument("--t-r", type=float, default=defaults.offset_range,
+                   help="sensor time-offset range [s]")
+    p.add_argument("--imu-freq", type=float, default=defaults.imu_frequency,
+                   help="IMU sample rate [Hz]")
     p.add_argument("--harmonics", type=int, default=3)
-    p.add_argument("--kappa-obj", type=float, default=1.2)
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--step-size", type=float, default=0.02)
+    p.add_argument("--kappa-obj", type=float, default=defaults.kappa_objective)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iterations)
+    p.add_argument("--step-size", type=float, default=defaults.step_size)
 
     p = sub.add_parser("simulate", help="synthesize foot-IMU measurements")
     _add_common(p)
@@ -72,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--imu", type=Path, required=True, help="foot-IMU measurement dump (csv)")
     p.add_argument("--foot", type=Path, required=True, help="kinematic measurement dump (csv)")
-    p.add_argument("--t-r", type=float, default=0.25, help="offset search range [s]")
+    p.add_argument("--t-r", type=float, default=defaults.offset_range,
+                   help="offset search range [s]")
 
     p = sub.add_parser("matrix", help="run a full experiment matrix")
     _add_common(p, out_default=None)  # no --out: the config's output_dir, else .
@@ -84,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem-check", help="covariance diagonality property suite")
     _add_common(p)
     p.add_argument("--count", type=int, default=50, help="number of random basis specs")
-    p.add_argument("--t-r", type=float, default=0.25)
-    p.add_argument("--imu-freq", type=float, default=500.0)
+    p.add_argument("--t-r", type=float, default=defaults.offset_range)
+    p.add_argument("--imu-freq", type=float, default=defaults.imu_frequency)
     p.add_argument("--max-harmonics", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="relative off-diagonal tolerance")
@@ -142,24 +146,16 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    if args.config:
-        config = harness.load_config(args.config, output_dir=args.out)
-    else:
-        config = harness.default_experiment_config(args.out or ".", base_seed=args.seed)
-    overrides = {}
+    doc = (json.loads(args.config.read_text()) if args.config
+           else {"optimizer": {"seed": args.seed}, "output_dir": "."})
     # an empty override is kept, for ExperimentConfig to reject
     if args.noise is not None:
-        overrides["noise_densities"] = args.noise
+        doc["noise_densities"] = args.noise
     if args.motion is not None:
-        overrides["motions"] = tuple(harness.Motion(m.strip().lower())
-                                     for m in args.motion.split(","))
+        doc["motions"] = [m.strip() for m in args.motion.split(",")]
     if args.seeds is not None:
-        overrides["seeds"] = tuple(range(args.seeds))
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    result = harness.run_matrix(config)
+        doc["seeds"] = range(args.seeds)
+    result = harness.run_matrix(harness.config_from_dict(doc, output_dir=args.out))
     failed = sum(1 for r in result.rows if r.error)
     print(f"{len(result.rows)} rows ({failed} failed) -> {result.output_dir}")
     return 0

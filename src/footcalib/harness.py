@@ -12,7 +12,6 @@ import math
 import re
 import time
 from dataclasses import asdict, dataclass, replace
-from enum import Enum
 from itertools import product
 from pathlib import Path
 
@@ -24,27 +23,17 @@ from .errors import CalibrationError, TrajectoryRejectedError
 from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocity
 from .optimizer import (OptimizerConfig, eval_basis, initial_basis_spec, is_count, optimize,
                         period_samples, require_limits_contain_zero)
-from .simulate import (GaitKind, GroundTruth, add_noise, baseline_gait, clean_stream,  # noqa: F401
-                       euler_deg_to_matrix, matrix_to_euler_deg, random_ground_truth, simulate_imu)
+from .simulate import (GroundTruth, Motion, add_noise, baseline_gait, clean_stream,  # noqa: F401
+                       euler_deg_to_matrix, gait_time_grid, matrix_to_euler_deg,
+                       random_ground_truth, simulate_imu)
 from . import io as fio
 
 FOOT_IDS = ("FL", "FR", "RL", "RR")
 
 
-class Motion(Enum):
-    """Calibration motion executed for a matrix cell."""
-
-    A2I = "a2i"    # condition-number-optimized calibration motion
-    WALK = "walk"
-    SPIN = "spin"
-    WAVE = "wave"
-
-
 # Stable per-token codes for child-seed derivation; row results must not
 # depend on the position of a motion/foot/density in the config lists.
 _MOTION_CODE = {Motion.A2I: 1, Motion.WALK: 2, Motion.SPIN: 3, Motion.WAVE: 4}
-_GAIT_FOR_MOTION = {Motion.WALK: GaitKind.WALK, Motion.SPIN: GaitKind.SPIN,
-                    Motion.WAVE: GaitKind.WAVE}
 # Largest condition number an a2i trajectory may have to be run at all.
 A2I_KAPPA_BAND = 1.6
 _FAILED_METRICS = dict(cn=math.nan, cc=math.nan, re_deg=math.nan, td_error_ms=math.nan,
@@ -83,9 +72,11 @@ def calibration_geometry() -> LegGeometry:
 class ExperimentConfig:
     """Full experiment matrix description.
 
-    With the a2i motion, the joint limits must contain 0 and the
-    optimizer's period must be a whole number of IMU samples
-    (``period_samples``), or construction raises ValueError.
+    The motions must be distinct. With the a2i motion, the joint limits
+    must contain 0 and the optimizer's period must be a whole number of IMU
+    samples (``period_samples``); with a gait, the offset range must be at
+    most a quarter of the gaits' span, the most their scan takes. Otherwise
+    construction raises ValueError.
     """
 
     geometry: LegGeometry
@@ -103,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("need at least one noise density")
         if not self.motions:
             raise ValueError("need at least one motion")
+        if len(set(self.motions)) < len(self.motions):
+            raise ValueError(f"motions must be distinct, got {[m.value for m in self.motions]}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if not all(0 <= d < math.inf for d in self.noise_densities):
@@ -117,6 +110,11 @@ class ExperimentConfig:
         if Motion.A2I in self.motions:
             require_limits_contain_zero(self.geometry)
             period_samples(self.optimizer.period, self.optimizer.imu_frequency)
+        if set(self.motions) - {Motion.A2I}:
+            span = float(gait_time_grid(self.optimizer.imu_frequency)[-1])
+            if self.optimizer.offset_range > span / 4:
+                raise ValueError(f"offset range {self.optimizer.offset_range} exceeds a quarter "
+                                 f"of the baseline gaits' span {span}")
         for foot, truth in self.truths.items():
             # a foot name is a field of rows.csv and part of a scan file name
             if not (isinstance(foot, str) and re.fullmatch(r"[A-Za-z0-9_-]+", foot)):
@@ -260,7 +258,7 @@ def build_trajectory(config: ExperimentConfig, motion: Motion, foot: str,
                 f"kappa {result.kappa_final:.4g} (band {A2I_KAPPA_BAND}), converged={result.converged}")
         n = period_samples(result.spec.period, opt.imu_frequency)
         return eval_basis(result.spec, np.arange(2 * n + 1) / opt.imu_frequency)
-    return baseline_gait(_GAIT_FOR_MOTION[motion], opt.imu_frequency)
+    return baseline_gait(motion, opt.imu_frequency)
 
 
 def _prepare(config: ExperimentConfig, motion: Motion, foot: str,
@@ -369,9 +367,8 @@ def run_matrix(config: ExperimentConfig) -> MatrixResult:
                                 scans[0] = side.lags * side.foot.uniform_dt()
                             scans[1 + slot] = scan
                         started = time.perf_counter()
-                for row in block:
-                    write_row(row)
-                    write_timing(row)
+                write_row(*block)
+                write_timing(*block)
                 rows += block
                 if scans is not None:
                     fio.write_offset_scan(out / "scans" / f"{foot}_{motion.value}.npy", scans)
@@ -437,7 +434,3 @@ def config_from_dict(doc: dict, output_dir=None) -> ExperimentConfig:
 
 def save_config(path, config: ExperimentConfig) -> None:
     Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
-
-
-def load_config(path, output_dir=None) -> ExperimentConfig:
-    return config_from_dict(json.loads(Path(path).read_text()), output_dir=output_dir)

@@ -212,23 +212,22 @@ def _csv_line(record, fields) -> str:
 
 
 @contextmanager
-def _open_record_writer(path, fields, flush: bool):
-    """Write the ``fields`` header; yield a callable writing one record's line."""
+def _open_record_writer(path, fields):
+    """Write the ``fields`` header; yield a callable writing and flushing a block of records."""
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(fields) + "\n")
 
-        def write(record):
-            handle.write(_csv_line(record, fields))
-            if flush:
-                handle.flush()
+        def write(*records):
+            handle.write("".join([_csv_line(record, fields) for record in records]))
+            handle.flush()
 
         yield write
 
 
-# rows.csv is flushed row by row; the wall times go to the timing.csv
-# sidecar, kept out of rows.csv so the reports stay deterministic
-open_rows_writer = partial(_open_record_writer, fields=ROW_FIELDS, flush=True)
-open_timing_writer = partial(_open_record_writer, fields=TIMING_FIELDS, flush=False)
+# the wall times go to the timing.csv sidecar, kept out of rows.csv so the
+# reports stay deterministic
+open_rows_writer = partial(_open_record_writer, fields=ROW_FIELDS)
+open_timing_writer = partial(_open_record_writer, fields=TIMING_FIELDS)
 
 
 def write_summary_csv(path, summary) -> None:

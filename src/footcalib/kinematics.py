@@ -114,15 +114,6 @@ class JointTrajectory:
     def __len__(self) -> int:
         return len(self.time_grid)
 
-    @property
-    def theta_sum(self) -> np.ndarray:
-        """Combined thigh+calf angle; the only angle the velocity map needs."""
-        return self.theta_thigh + self.theta_calf
-
-    @property
-    def dtheta_sum(self) -> np.ndarray:
-        return self.dtheta_thigh + self.dtheta_calf
-
 
 @dataclass(frozen=True)
 class AngularVelocitySeries:
@@ -171,12 +162,21 @@ def resample(time_grid: np.ndarray, samples: np.ndarray, query: np.ndarray) -> n
     return np.column_stack([np.interp(query, time_grid, samples[:, k]) for k in range(3)])
 
 
+def foot_velocity(dtheta_hip: np.ndarray, sin_phi: np.ndarray, cos_phi: np.ndarray,
+                  dphi: np.ndarray) -> np.ndarray:
+    """(N, 3) foot-end angular velocity from the hip rate, the sine and cosine
+    of the thigh+calf angle phi and its rate: the map of the module docstring."""
+    minus_hip = -dtheta_hip
+    omega = np.empty((len(minus_hip), 3))
+    np.multiply(minus_hip, sin_phi, out=omega[:, 0])
+    np.multiply(minus_hip, cos_phi, out=omega[:, 1])
+    omega[:, 2] = dphi
+    return omega
+
+
 def trajectory_to_foot_velocity(traj: JointTrajectory) -> AngularVelocitySeries:
     """Map a joint trajectory to the foot-end angular-velocity series."""
-    theta_sum = traj.theta_sum
-    omega = np.column_stack([
-        -traj.dtheta_hip * np.sin(theta_sum),
-        -traj.dtheta_hip * np.cos(theta_sum),
-        traj.dtheta_sum,
-    ])
+    phi = traj.theta_thigh + traj.theta_calf
+    omega = foot_velocity(traj.dtheta_hip, np.sin(phi), np.cos(phi),
+                          traj.dtheta_thigh + traj.dtheta_calf)
     return AngularVelocitySeries(traj.time_grid, omega, Frame.FOOT_KINEMATIC)

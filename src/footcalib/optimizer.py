@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import JointTrajectory, LegGeometry, trajectory_to_foot_velocity
+from .kinematics import JointTrajectory, LegGeometry, foot_velocity, trajectory_to_foot_velocity
 
 JOINTS = ("hip", "thigh", "calf")
 
@@ -107,7 +107,7 @@ class BasisSpec:
         """2*pi/period rad/s."""
         return 2.0 * math.pi / self.period
 
-    @property
+    @functools.cached_property  # _with_amplitudes copies it to candidates of the same K and period
     def angular_frequencies(self) -> np.ndarray:
         return _angular_frequencies(self.harmonic_count, self.period)
 
@@ -185,6 +185,27 @@ def initial_basis_spec(config: OptimizerConfig, harmonic_count: int = 3,
     )
 
 
+def _hip_angle(spec: BasisSpec, cos_ph: np.ndarray) -> np.ndarray:
+    """The hip angle, -sum A_k/w_k cos(w_k t), from the cos basis rows of a time grid."""
+    return -(spec.hip_rate_coeffs / spec.angular_frequencies) @ cos_ph
+
+
+def _pitch_angle(spec: BasisSpec, sin_ph: np.ndarray) -> np.ndarray:
+    """The thigh+calf angle, sum B_k/w_k sin(w_k t), from the sin basis rows of a time grid."""
+    return (spec.pitch_rate_coeffs / spec.angular_frequencies) @ sin_ph
+
+
+def _rate_rows(spec: BasisSpec, sin_ph: np.ndarray,
+               cos_ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hip rate and the thigh+calf rate from the sin and cos basis rows of a time grid."""
+    return spec.hip_rate_coeffs @ sin_ph, spec.pitch_rate_coeffs @ cos_ph
+
+
+def _split(spec: BasisSpec, combined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The thigh and calf shares of a thigh+calf angle or rate: 1 - calf_share and calf_share."""
+    return (1.0 - spec.calf_share) * combined, spec.calf_share * combined
+
+
 def eval_basis(spec: BasisSpec, time_grid) -> JointTrajectory:
     """Evaluate the harmonic family as joint angles and rates on a time grid.
 
@@ -193,15 +214,11 @@ def eval_basis(spec: BasisSpec, time_grid) -> JointTrajectory:
     so every joint oscillates about zero.
     """
     t = np.asarray(time_grid, dtype=float)
-    w = spec.angular_frequencies
-    phase = np.outer(w, t)
+    phase = np.outer(spec.angular_frequencies, t)
     sin_ph, cos_ph = np.sin(phase), np.cos(phase)
-    rate_sum = spec.pitch_rate_coeffs @ cos_ph
-    angle_sum = (spec.pitch_rate_coeffs / w) @ sin_ph
-    rho = spec.calf_share
-    return JointTrajectory(t, -(spec.hip_rate_coeffs / w) @ cos_ph, (1.0 - rho) * angle_sum,
-                           rho * angle_sum, spec.hip_rate_coeffs @ sin_ph, (1.0 - rho) * rate_sum,
-                           rho * rate_sum)
+    dtheta_hip, rate_sum = _rate_rows(spec, sin_ph, cos_ph)
+    return JointTrajectory(t, _hip_angle(spec, cos_ph), *_split(spec, _pitch_angle(spec, sin_ph)),
+                           dtheta_hip, *_split(spec, rate_sum))
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,16 +354,13 @@ class _Evaluation(NamedTuple):
 def _evaluate(spec: BasisSpec, imu_frequency: float) -> _Evaluation:
     """The joint angles of ``spec`` on the IMU grid, which the limits read,
     and its foot velocity and covariance on the kappa grid
-    (``kappa_samples``), which kappa and its gradient read."""
-    harmonics, period = spec.harmonic_count, spec.period
-    a, b, rho = spec.hip_rate_coeffs, spec.pitch_rate_coeffs, spec.calf_share
-    hip_scale, pitch_scale = a / spec.angular_frequencies, b / spec.angular_frequencies
+    (``kappa_samples``), which kappa and its gradient read; both from the
+    rows of ``eval_basis`` and ``foot_velocity``, so kappa is the checked path's."""
+    harmonics, period, rho = spec.harmonic_count, spec.period, spec.calf_share
     _, imu_sin, imu_cos = _period_basis(harmonics, period, imu_frequency)
-    # the angles of eval_basis, by the same float operations. The thigh and
-    # calf angles are 1 - rho and rho times the angle sum, and rounding is
-    # monotone, so a non-negative factor maps the sum's extremes onto theirs
-    theta_hip = -hip_scale @ imu_cos
-    angle_sum = pitch_scale @ imu_sin
+    theta_hip, angle_sum = _hip_angle(spec, imu_cos), _pitch_angle(spec, imu_sin)
+    # the thigh and calf angles are 1 - rho and rho times the angle sum, and
+    # rounding is monotone, so a non-negative factor maps the sum's extremes onto theirs
     low, high = angle_sum.min(), angle_sum.max()
     ranges = ((theta_hip.min(), theta_hip.max()), ((1.0 - rho) * low, (1.0 - rho) * high),
               (rho * low, rho * high))
@@ -354,18 +368,12 @@ def _evaluate(spec: BasisSpec, imu_frequency: float) -> _Evaluation:
     n = len(angle_sum)
     m = kappa_samples(harmonics, max(-low, high), n)
     grid, sin_ph, cos_ph = _period_basis(harmonics, period, imu_frequency if m == n else m / period)
-    # the same float operations, in the same order, as eval_basis followed
-    # by trajectory_to_foot_velocity and sample_covariance on the kappa
-    # grid, so kappa equals the checked path's there
-    dtheta_hip = a @ sin_ph
-    rate_sum = b @ cos_ph
-    angles = pitch_scale @ sin_ph
-    phi = (1.0 - rho) * angles + rho * angles
+    dtheta_hip, rate_sum = _rate_rows(spec, sin_ph, cos_ph)
+    thigh, calf = _split(spec, _pitch_angle(spec, sin_ph))
+    phi = thigh + calf
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    omega = np.empty((m, 3))
-    np.multiply(-dtheta_hip, sin_phi, out=omega[:, 0])
-    np.multiply(-dtheta_hip, cos_phi, out=omega[:, 1])
-    np.add((1.0 - rho) * rate_sum, rho * rate_sum, out=omega[:, 2])
+    thigh_rate, calf_rate = _split(spec, rate_sum)
+    omega = foot_velocity(dtheta_hip, sin_phi, cos_phi, thigh_rate + calf_rate)
     centred = omega - column_means(omega)
     sigma = centred.T @ centred / (m - 1)
     return _Evaluation(imu_sin, imu_cos, theta_hip, angle_sum, ranges,

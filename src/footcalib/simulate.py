@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .kinematics import AngularVelocitySeries, Frame, JointTrajectory, resample
-from .optimizer import is_count
+from .optimizer import OptimizerConfig, is_count
 
 
 def euler_deg_to_matrix(angles) -> np.ndarray:
@@ -163,52 +163,56 @@ def add_noise(clean: np.ndarray, density: float, seed: int, dt: float) -> np.nda
     return clean + rng.normal(0.0, math.radians(density) * math.sqrt(1.0 / dt), clean.shape)
 
 
-class GaitKind(Enum):
+class Motion(Enum):
+    """Motion a leg executes: the optimized calibration motion or a baseline gait."""
+
+    A2I = "a2i"    # condition-number-optimized calibration motion
     WALK = "walk"
     SPIN = "spin"
     WAVE = "wave"
 
 
-# Per-joint amplitudes (hip, thigh, calf) in rad. The shapes are
-# artifact constants chosen so the walk and spin profiles barely excite
-# one velocity axis while the wave profile keeps a little more diversity,
-# reproducing the conditioning ordering wave < walk/spin, all far above
-# the optimized motion.
-_GAIT_AMPLITUDES = {
-    GaitKind.WALK: (0.005, 0.35, 0.35),
-    GaitKind.SPIN: (0.45, 0.004, 0.004),
-    GaitKind.WAVE: (0.009, 0.4, 0.005),
-}
-
-# Per-joint frequency multipliers and phases (hip, thigh, calf).
-_GAIT_SHAPES = {
-    GaitKind.WALK: ((1, 0.0), (1, 0.0), (1, math.pi / 2)),
-    GaitKind.SPIN: ((1, 0.0), (2, 0.0), (1, 0.7)),
-    GaitKind.WAVE: ((3, 0.0), (1, 0.0), (2, 0.4)),
+# Per joint (hip, thigh, calf): amplitude in rad, frequency multiplier and
+# phase. The amplitudes are artifact constants chosen so the walk and spin
+# profiles barely excite one velocity axis while the wave profile keeps a
+# little more diversity, reproducing the conditioning ordering wave <
+# walk/spin, all far above the optimized motion.
+_GAITS = {
+    Motion.WALK: ((0.005, 1, 0.0), (0.35, 1, 0.0), (0.35, 1, math.pi / 2)),
+    Motion.SPIN: ((0.45, 1, 0.0), (0.004, 2, 0.0), (0.004, 1, 0.7)),
+    Motion.WAVE: ((0.009, 3, 0.0), (0.4, 1, 0.0), (0.005, 2, 0.4)),
 }
 GAIT_PERIOD = 1.0    # s
 GAIT_DURATION = 4.0  # s, four gait cycles
 
 
-def baseline_gait(kind: GaitKind, sample_rate: float = 500.0) -> JointTrajectory:
-    """Deterministic cyclic joint profile for one of the comparison gaits.
-
-    The profile covers ``GAIT_DURATION`` s at ``sample_rate`` Hz, which
-    must be finite and positive. Each joint follows amplitude * sin(m * w0
-    * t + phase) with w0 = 2*pi/``GAIT_PERIOD``; the (m, phase) shape
-    constants and the amplitudes are listed in this module. Walk swings thigh and calf in quadrature with a
-    small hip sway, spin is a dominant hip oscillation over near-constant
-    thigh/calf, and wave is a single-joint thigh sinusoid with hip and
-    calf nearly static.
-    """
+def gait_time_grid(sample_rate: float) -> np.ndarray:
+    """Time grid of every baseline gait: ``GAIT_DURATION`` s at ``sample_rate`` Hz,
+    which must be finite and positive, from t = 0; its last time is the gaits' span."""
     if not 0 < sample_rate < math.inf:
         raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
-    w0 = 2.0 * math.pi / GAIT_PERIOD
     n = int(math.floor(GAIT_DURATION * sample_rate + 1e-9))
-    t = np.arange(n + 1) / sample_rate
+    return np.arange(n + 1) / sample_rate
+
+
+def baseline_gait(motion: Motion,
+                  sample_rate: float = OptimizerConfig.imu_frequency) -> JointTrajectory:
+    """Deterministic cyclic joint profile of a baseline gait (walk, spin or wave)
+    on ``gait_time_grid(sample_rate)``; the a2i motion raises ValueError.
+
+    Each joint follows amplitude * sin(m * w0 * t + phase) with w0 =
+    2*pi/``GAIT_PERIOD``, from ``_GAITS``. Walk swings thigh and calf in
+    quadrature with a small hip sway, spin is a dominant hip oscillation
+    over near-constant thigh/calf, and wave is a single-joint thigh
+    sinusoid with hip and calf nearly static.
+    """
+    if motion not in _GAITS:
+        raise ValueError(f"{motion} is not a baseline gait")
+    w0 = 2.0 * math.pi / GAIT_PERIOD
+    t = gait_time_grid(sample_rate)
 
     angles, rates = [], []
-    for amp, (mult, phase) in zip(_GAIT_AMPLITUDES[kind], _GAIT_SHAPES[kind]):
+    for amp, mult, phase in _GAITS[motion]:
         w = mult * w0
         angles.append(amp * np.sin(w * t + phase))
         rates.append(amp * w * np.cos(w * t + phase))

@@ -9,9 +9,9 @@ from footcalib import (
     BasisSpec,
     CalibrationResult,
     Frame,
-    GaitKind,
     GroundTruth,
     IllConditionedError,
+    Motion,
     NoiseModel,
     OffsetSearch,
     RankDeficiencyError,
@@ -394,7 +394,7 @@ class TestEstimateTimeOffset:
                                                foot_series.samples[i0:i1])
             assert_relative_max_norm(estimate.sigma_if, slid, 1e-12)
 
-    @pytest.mark.parametrize("kind", [GaitKind.WALK, GaitKind.SPIN, GaitKind.WAVE],
+    @pytest.mark.parametrize("kind", [Motion.WALK, Motion.SPIN, Motion.WAVE],
                              ids=["walk", "spin", "wave"])
     def test_scan_matches_solve_oracle_on_ill_conditioned_gaits(self, kind):
         # the comparison gaits leave S_II far from isotropic, where the
@@ -476,12 +476,12 @@ def white_foot(samples):
 
 class TestFftScan:
     @pytest.mark.parametrize("make_foot, offset_range, window, block, fft_length", [
-        pytest.param(lambda: gait_foot(GaitKind.WALK), 0.0, None, 2001, 2025, id="one-lag"),
+        pytest.param(lambda: gait_foot(Motion.WALK), 0.0, None, 2001, 2025, id="one-lag"),
         pytest.param(lambda: basis_foot(2003), 0.1, None, 2003, 2025, id="prime-block"),
         pytest.param(lambda: white_foot(2001), 0.1, 4, 104, 108, id="smallest-window"),
-        pytest.param(lambda: gait_foot(GaitKind.WALK), 0.25, None, 2001, 2025, id="walk"),
-        pytest.param(lambda: gait_foot(GaitKind.SPIN), 0.25, None, 2001, 2025, id="spin"),
-        pytest.param(lambda: gait_foot(GaitKind.WAVE), 0.25, None, 2001, 2025, id="wave"),
+        pytest.param(lambda: gait_foot(Motion.WALK), 0.25, None, 2001, 2025, id="walk"),
+        pytest.param(lambda: gait_foot(Motion.SPIN), 0.25, None, 2001, 2025, id="spin"),
+        pytest.param(lambda: gait_foot(Motion.WAVE), 0.25, None, 2001, 2025, id="wave"),
         pytest.param(lambda: basis_foot(2001), 0.25, WINDOW, 1250, 1250, id="a2i-period"),
     ])
     def test_matches_dot_product_oracle(self, make_foot, offset_range, window, block,
@@ -591,7 +591,7 @@ class TestEstimateRotation:
     def test_residual_minimizer_differs_on_noisy_ill_conditioned_gait(self):
         # on a noisy walk the Kabsch rotation of S_FI leaves a smaller
         # residual sum ||R w_imu - w_foot||^2 than the projected map
-        foot = trajectory_to_foot_velocity(baseline_gait(GaitKind.WALK))
+        foot = trajectory_to_foot_velocity(baseline_gait(Motion.WALK))
         truth = GroundTruth.from_euler_deg(25.0, -50.0, 140.0)
         imu = simulate_imu(foot, truth, NoiseModel(0.06, seed=21))
         cov = covariance_set(imu, foot)

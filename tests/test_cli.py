@@ -161,6 +161,24 @@ class TestMatrixCommand:
         assert json.loads(captured.err)["error"]["type"] == "ValueError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, override", [
+        (None, ["--motion", "walk,walk", "--seeds", "1", "--noise", "0.006"]),
+        ({"optimizer": {"offset_range": 1.1}, "motions": ["a2i", "walk"], "seeds": [0],
+          "noise_densities": [0.006]}, []),
+    ], ids=["repeated-motion", "gait-offset-range"])
+    def test_matrix_no_cell_can_run_rejected(self, tmp_path, capsys, doc, override):
+        # rejected when the config is built, before any report file is opened
+        config = []
+        if doc is not None:
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            config = ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "matrix"
+        code = main(["matrix", *config, "--out", str(out), *override])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert json.loads(captured.err)["error"]["type"] == "ValueError"
+        assert not out.exists()
+
     def test_config_with_limits_excluding_zero_rejected(self, tmp_path, capsys):
         # the Go2 calf limits (-2.7, -0.8) fit no a2i trajectory: the
         # config is rejected at load, before any report file is opened

@@ -14,7 +14,6 @@ from footcalib import (
     BasisSpec,
     CalibrationError,
     ExperimentConfig,
-    GaitKind,
     GroundTruth,
     Motion,
     NoiseModel,
@@ -44,7 +43,6 @@ from footcalib.harness import (
     config_from_dict,
     config_to_dict,
     default_truths,
-    load_config,
     save_config,
 )
 from conftest import read_rows
@@ -152,7 +150,7 @@ class TestConfig:
         config = default_experiment_config(tmp_path / "out", seeds=(0, 1))
         path = tmp_path / "config.json"
         save_config(path, config)
-        loaded = load_config(path)
+        loaded = config_from_dict(json.loads(path.read_text()))
         # a truth is its Euler angles, so it survives the round trip exactly
         assert config_to_dict(loaded) == config_to_dict(config)
         for foot, truth in config.truths.items():
@@ -260,6 +258,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(config, truths=bad_truths)
 
+    def test_repeated_motion_rejected(self, tmp_path):
+        # a repeated motion would run each of its cells twice under one noise
+        # seed, count them twice in the summary and overwrite its scan files
+        config = default_experiment_config(tmp_path / "out")
+        with pytest.raises(ValueError, match="motions must be distinct"):
+            replace(config, motions=(Motion.WALK, Motion.SPIN, Motion.WALK))
+        with pytest.raises(ValueError, match="motions must be distinct"):
+            config_from_dict({"motions": ["walk", "WALK"]})
+
+    def test_gait_offset_range_above_a_quarter_of_the_span_rejected(self):
+        # a gait's foot series spans 4 s, and its scan takes a range of at
+        # most a quarter of that: a larger one fails when the config is
+        # built, not in the first gait block after the a2i cells have run
+        doc = {"optimizer": {"offset_range": 1.1}, "motions": ["a2i", "walk"], "seeds": [0],
+               "noise_densities": [0.006]}
+        with pytest.raises(ValueError, match="quarter of the baseline gaits' span 4.0"):
+            config_from_dict(doc)
+        doc["motions"] = ["a2i"]  # an a2i trajectory spans 16 times the range
+        assert config_from_dict(doc).motions == (Motion.A2I,)
+        doc["optimizer"]["offset_range"], doc["motions"] = 1.0, ["wave"]
+        assert config_from_dict(doc).optimizer.offset_range == 1.0
+
     @pytest.mark.parametrize("densities, seeds", [
         ((0.006, 0.0060000000001), (0, 1)),
         ((0.006, 0.0060000000004), (0, 1)),
@@ -279,7 +299,7 @@ class TestConfig:
 @pytest.mark.parametrize("build", [
     lambda: NoiseModel(density=math.nan),
     lambda: NoiseModel(density=math.inf),
-    lambda: baseline_gait(GaitKind.WALK, math.nan),
+    lambda: baseline_gait(Motion.WALK, math.nan),
     lambda: OptimizerConfig(kappa_objective=math.nan),
     lambda: OptimizerConfig(kappa_objective=math.inf),
     lambda: OptimizerConfig(max_iterations=math.nan),
@@ -437,7 +457,8 @@ class TestRunMatrix:
         # reloaded config has the same rotations and writes the same reports
         config, _ = small_run
         save_config(tmp_path / "config.json", config)
-        loaded = load_config(tmp_path / "config.json", output_dir=tmp_path / "loaded")
+        loaded = config_from_dict(json.loads((tmp_path / "config.json").read_text()),
+                                  output_dir=tmp_path / "loaded")
         run_matrix(loaded)
         assert report_bytes(loaded.output_dir) == report_bytes(config.output_dir)
 
@@ -605,7 +626,7 @@ class TestRunMatrix:
         monkeypatch.setattr(harness, "baseline_gait", hipless)
         config = small_config(tmp_path / "floor", motions=(Motion.WALK,), densities=(0.006, 0.03))
         rows = run_matrix(config).rows
-        series = trajectory_to_foot_velocity(hipless(GaitKind.WALK, config.optimizer.imu_frequency))
+        series = trajectory_to_foot_velocity(hipless(Motion.WALK, config.optimizer.imu_frequency))
         assert len(rows) == 8
         for row in rows:
             imu = simulate_imu(series, config.truths[row.foot], NoiseModel(row.noise_density))

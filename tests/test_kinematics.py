@@ -13,6 +13,7 @@ from footcalib import (
     period_samples,
     trajectory_to_foot_velocity,
 )
+from footcalib.kinematics import foot_velocity
 
 
 def foot_angular_velocity(theta_thigh_plus_calf, dtheta_hip, dtheta_thigh_plus_calf):
@@ -39,10 +40,14 @@ class TestFootAngularVelocity:
         (0.0, 1.0, 0.0, (0.0, -1.0, 0.0)),
         (math.pi / 2, 1.0, 0.0, (-1.0, 0.0, 0.0)),
         (0.7, 0.0, 0.0, (0.0, 0.0, 0.0)),
+        (math.pi, 2.0, -0.5, (0.0, 2.0, -0.5)),
     ])
     def test_closed_form(self, theta_sum, d_hip, d_sum, expected):
-        omega = foot_angular_velocity(theta_sum, d_hip, d_sum)
-        np.testing.assert_allclose(omega, expected, atol=1e-15)
+        # the package's map, which the trajectory map and the optimizer's loss both call
+        omega = foot_velocity(np.array([d_hip]), np.sin([theta_sum]), np.cos([theta_sum]),
+                              np.array([d_sum]))
+        assert omega.shape == (1, 3)
+        np.testing.assert_allclose(omega[0], expected, atol=1e-15)
 
 
 class TestTrajectoryToFootVelocity:

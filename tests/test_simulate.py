@@ -13,8 +13,8 @@ import footcalib
 from footcalib import (
     AngularVelocitySeries,
     Frame,
-    GaitKind,
     GroundTruth,
+    Motion,
     NoiseModel,
     baseline_gait,
     condition_number,
@@ -24,8 +24,8 @@ from footcalib import (
     trajectory_to_foot_velocity,
 )
 from footcalib.optimizer import sample_covariance
-from footcalib.simulate import (GAIT_PERIOD, euler_deg_to_matrix, matrix_to_euler_deg,
-                                quaternion_to_matrix)
+from footcalib.simulate import (GAIT_PERIOD, euler_deg_to_matrix, gait_time_grid,
+                                matrix_to_euler_deg, quaternion_to_matrix)
 
 
 def smooth_series(n=2001, rate=500.0):
@@ -209,12 +209,12 @@ class TestSimulateImu:
 
 class TestBaselineGait:
     def test_wave_is_single_joint(self):
-        traj = baseline_gait(GaitKind.WAVE)
+        traj = baseline_gait(Motion.WAVE)
         assert np.ptp(traj.theta_hip) < 0.02
         assert np.ptp(traj.theta_calf) < 0.02
         assert np.ptp(traj.theta_thigh) == pytest.approx(0.8, abs=0.01)
 
-    @pytest.mark.parametrize("kind", list(GaitKind))
+    @pytest.mark.parametrize("kind", [Motion.WALK, Motion.SPIN, Motion.WAVE])
     def test_two_cycles_are_exactly_periodic(self, kind):
         rate = 500.0
         traj = baseline_gait(kind, rate)
@@ -226,11 +226,23 @@ class TestBaselineGait:
                                        atol=1e-12)
 
     def test_walk_condition_number_is_large(self):
-        traj = baseline_gait(GaitKind.WALK)
+        traj = baseline_gait(Motion.WALK)
         sigma = sample_covariance(trajectory_to_foot_velocity(traj).samples)
         assert condition_number(sigma) > 50.0
 
     def test_invalid_params_rejected(self):
         for rate in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError, match="sample_rate"):
-                baseline_gait(GaitKind.WALK, rate)
+                baseline_gait(Motion.WALK, rate)
+
+    def test_a2i_is_no_baseline_gait(self):
+        with pytest.raises(ValueError, match="not a baseline gait"):
+            baseline_gait(Motion.A2I)
+
+    @pytest.mark.parametrize("rate", [500.0, 333.0, 1000.0])
+    def test_span_is_the_last_time_of_the_gait_grid(self, rate):
+        # the span ExperimentConfig checks the offset range against is the
+        # one a scan of the gait's foot series checks it against
+        traj = baseline_gait(Motion.SPIN, rate)
+        assert traj.time_grid.tobytes() == gait_time_grid(rate).tobytes()
+        assert trajectory_to_foot_velocity(traj).span == gait_time_grid(rate)[-1]
